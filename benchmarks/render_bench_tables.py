@@ -2,8 +2,8 @@
 """Render ``docs/performance.md`` (and the README summary table) from
 the committed ``BENCH_*.json`` files.
 
-The benchmark suite (``pytest benchmarks``) measures every hot path and
-writes one JSON per bench; this script turns the committed JSONs into
+The benchmark suite (``pytest benchmarks``) measures every hot path and,
+with ``REPRO_BENCH_WRITE=1``, writes one JSON per bench; this script turns the committed JSONs into
 the human-readable performance documentation, so the numbers in the
 docs are *generated*, never hand-maintained.
 
@@ -47,7 +47,7 @@ HEADER = """\
 
 *Generated by [`benchmarks/render_bench_tables.py`](../benchmarks/render_bench_tables.py)
 from the committed `BENCH_*.json` files — do not edit by hand; re-run
-the benchmarks (`PYTHONPATH=src python -m pytest benchmarks -q`) and
+the benchmarks (`REPRO_BENCH_WRITE=1 PYTHONPATH=src python -m pytest benchmarks -q`) and
 then `python benchmarks/render_bench_tables.py`.  CI fails if this file
 drifts from the JSONs.*
 
@@ -236,13 +236,12 @@ The population sweep behind `analyze_many` / `evaluate_batch` — the
 Section-3.2 electrical-masking recursion over a
 {aserta['sweep']['lanes']}-lane candidate batch on
 {aserta['sweep']['circuit']} — runs through a precompiled
-`SweepPlan` (live nonzero-share pairs, flat-offset gathers; see
-[architecture.md](architecture.md)): the unfused per-level loop needs
-{_ms(aserta['sweep']['unfused_s'])}, the compiled plan
+`SweepPlan` (compact live-cell tables, live nonzero-share pairs; see
+[architecture.md](architecture.md)): the unfused dense per-level loop
+needs {_ms(aserta['sweep']['unfused_s'])}, the compiled plan
 {_ms(aserta['sweep']['fused_s'])}
 ({_x(aserta['sweep']['speedup'])}, gated at ≥ {floors['sweep']:g}×).
-On the `{aserta['sweep']['backend']}` backend the two paths are
-asserted *bitwise identical* before timing.
+The two paths are asserted *bitwise identical* before timing.
 
 ## Structural engine (`BENCH_structural.json`)
 
@@ -331,7 +330,7 @@ trace of a full c432 `Sertopt.optimize()`, uploaded as a CI artifact.
 ## Regenerating
 
 ```sh
-PYTHONPATH=src python -m pytest benchmarks -q     # refresh BENCH_*.json
+REPRO_BENCH_WRITE=1 PYTHONPATH=src python -m pytest benchmarks -q  # refresh BENCH_*.json
 python benchmarks/render_bench_tables.py          # refresh this file + README
 python benchmarks/render_bench_tables.py --check  # what CI runs
 ```

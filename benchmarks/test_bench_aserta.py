@@ -1,16 +1,17 @@
 """ASERTA core benchmarks — analysis hot paths, gated against floors.
 
 Two gated measurements on c432 at the paper-default configuration,
-both written into ``BENCH_aserta.json``:
+both recorded in ``BENCH_aserta.json`` (written when
+``REPRO_BENCH_WRITE=1``, see :mod:`bench_json`):
 
 * ``analyze`` — dict-based reference engine vs. the vectorized array
   engine through the same analyzer (one structural pass, identical
   inputs).  Floor: the array path at least 3x faster than the seed
   implementation.
-* ``sweep`` — the fused, plan-compiled Section-3.2 population sweep
+* ``sweep`` — the compiled live-cell Section-3.2 population sweep
   (:func:`electrical_masking_many` with a precompiled
-  :class:`~repro.core.sweep_plan.SweepPlan`) vs. the unfused per-level
-  loop on a 16-lane mixed-assignment population.  Floor: at least 2x,
+  :class:`~repro.core.sweep_plan.SweepPlan`) vs. the unfused dense
+  per-level loop on a 16-lane mixed-assignment population.  Floor: at least 2x,
   asserted only after the two paths are verified *bitwise identical*
   on the exact tensors being timed.
 
@@ -36,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_json import write_bench_json, write_enabled
 from conformance import mixed_assignments
 from repro.circuit.iscas85 import iscas85_circuit
 from repro.core.aserta import AsertaAnalyzer
@@ -118,6 +120,8 @@ def _gated_speedup(
 def _merge_bench(updates: dict) -> None:
     """Read-merge-write ``BENCH_aserta.json`` — two tests share the
     file, and either may run (or rerun) first."""
+    if not write_enabled():
+        return
     payload: dict = {}
     if BENCH_JSON.exists():
         try:
@@ -130,7 +134,7 @@ def _merge_bench(updates: dict) -> None:
     payload["bench"] = "aserta_analyze"
     payload["unix_time"] = time.time()
     payload["scale"] = os.environ.get("REPRO_BENCH_SCALE", "fast")
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench_json(BENCH_JSON, payload)
 
 
 def test_aserta_vectorization_speedup(benchmark):
@@ -201,22 +205,19 @@ def test_fused_sweep_speedup(benchmark):
         idx, delays, generated, analyzer.config.n_sample_widths
     )
     plan = analyzer.sweep_plan
-    backend = analyzer.backend
 
     def fused():
         return electrical_masking_many(
-            analyzer.structure, delays, generated, samples,
-            backend=backend, plan=plan,
+            analyzer.structure, delays, generated, samples, plan=plan,
         )
 
     def unfused():
         return electrical_masking_many(
-            analyzer.structure, delays, generated, samples,
-            backend=backend, plan=plan, fused=False,
+            analyzer.structure, delays, generated, samples, fused=False,
         )
 
     # The gate only means something if the two paths compute the same
-    # thing: the NumPy fused sweep's contract is *bitwise* identity on
+    # thing: the compiled sweep's contract is *bitwise* identity on
     # the exact tensors being timed (warms both paths too).
     np.testing.assert_array_equal(fused(), unfused())
 
@@ -230,7 +231,6 @@ def test_fused_sweep_speedup(benchmark):
             "sweep": {
                 "circuit": "c432",
                 "lanes": SWEEP_LANES,
-                "backend": backend.name,
                 "bitwise_identical": True,
                 "unfused_s": unfused_s,
                 "fused_s": fused_s,

@@ -14,17 +14,18 @@ Measures scenarios/second for one grid (2 circuits x 3 charges x
 * serial, warm artifacts into SQLite — recompute from cached artifacts
   into the SQLite backend, pinning JSONL↔SQLite summary equality.
 
-Emits ``BENCH_campaign.json`` next to the repository root so the
-campaign-throughput trajectory is tracked across PRs.
+Records ``BENCH_campaign.json`` next to the repository root (when
+``REPRO_BENCH_WRITE=1``) so the campaign-throughput trajectory is
+tracked across PRs.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
+from bench_json import write_bench_json
 from repro.campaign import (
     AVIONICS,
     SEA_LEVEL,
@@ -220,7 +221,7 @@ def test_campaign_throughput(benchmark, scale, tmp_path):
         # resident pool exists (the parallel-slower regression fix).
         "auto_mode": auto.mode,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench_json(BENCH_JSON, payload)
 
     print(
         f"\nCAMP — {spec.size()} scenarios: "

@@ -26,19 +26,19 @@ Gates:
   and the level-batched flow must not regress against the per-gate one
   (≥ 1.15× end to end; the measured ratio is recorded in the JSON).
 
-Emits ``BENCH_sertopt.json`` for the CI benchmark artifact upload and
-``docs/performance.md`` regeneration.
+Records ``BENCH_sertopt.json`` (when ``REPRO_BENCH_WRITE=1``) for the
+CI benchmark artifact upload and ``docs/performance.md`` regeneration.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
 
+from bench_json import write_bench_json
 from repro.circuit.iscas85 import iscas85_circuit
 from repro.core.baseline import size_for_speed
 from repro.core.matching import MatchingEngine
@@ -282,7 +282,7 @@ def test_sertopt_level_batched_speedup(benchmark):
         "unreliability_reduction": level_result.unreliability_reduction,
         "delay_ratio": level_result.delay_ratio,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench_json(BENCH_JSON, payload)
 
     print(
         f"\nSERTOPT {CIRCUIT} optimize ({level_opt.evaluations} evals): "

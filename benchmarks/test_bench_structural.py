@@ -5,20 +5,20 @@ the circuit the ROADMAP flagged as "seconds per netlist" under the
 event-driven walk — through both engines on identical vectors, asserts
 the batched path is at least 3x faster *and* bit-identical, then times
 the warm path: a second analyzer over a shared artifact cache, whose
-construction must perform zero fault-simulation work.  Emits
-``BENCH_structural.json`` alongside the other ``BENCH_*.json``
-artifacts uploaded by CI.
+construction must perform zero fault-simulation work.  Records
+``BENCH_structural.json`` (when ``REPRO_BENCH_WRITE=1``) alongside the
+other ``BENCH_*.json`` artifacts uploaded by CI.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
 
+from bench_json import write_bench_json
 from repro.circuit.iscas85 import iscas85_circuit
 from repro.core.aserta import AsertaAnalyzer, AsertaConfig
 from repro.engine import AnalysisEngine
@@ -123,7 +123,7 @@ def test_structural_batching_speedup(benchmark, scale):
             "cache": engine.stats(),
         },
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench_json(BENCH_JSON, payload)
 
     print(
         f"\nstructural pass {CIRCUIT} ({n_vectors} vectors): "

@@ -7,19 +7,21 @@ pre-telemetry analyze body running on the same warmed analyzer, and
 gates the overhead at 3%.  The enabled-telemetry cost is measured and
 reported in ``BENCH_telemetry.json`` but *not* gated — recording spans
 is allowed to cost something; the contract is that not asking for them
-costs nothing.  Also exports the example Chrome traces the CI bench job
-uploads: a traced c432 ``Sertopt.optimize()`` and a traced two-worker
-campaign, each validated and held to the >=90% span-coverage bar.
+costs nothing.  Two traced runs are checked — a c432
+``Sertopt.optimize()`` and a two-worker campaign — each validated and
+held to the >=90% span-coverage bar.  With ``REPRO_BENCH_WRITE=1`` the
+record is written and the traced optimize is exported as the example
+Chrome trace the CI bench job uploads.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import time
 from pathlib import Path
 
+from bench_json import write_bench_json, write_enabled
 from repro.campaign import SEA_LEVEL, CampaignRunner, CampaignSpec, ResultStore
 from repro.campaign.environments import AVIONICS
 from repro.circuit.iscas85 import iscas85_circuit
@@ -199,7 +201,7 @@ def test_disabled_telemetry_overhead_gate(benchmark):
         "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
         "unreliability_total": instrumented_total,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench_json(BENCH_JSON, payload)
 
     print(
         f"\ntelemetry c432 analyze: baseline {baseline_s * 1e3:.1f} ms, "
@@ -235,9 +237,10 @@ def test_traced_c432_optimize_exports_valid_trace():
     assert validate_chrome_trace(trace) == []
     coverage = span_coverage(spans, "sertopt.optimize")
     assert coverage >= MIN_COVERAGE, f"coverage {coverage:.1%}"
-    write_chrome_trace(
-        TRACE_JSON, spans, metadata={"scenario": "c432 optimize"}
-    )
+    if write_enabled():
+        write_chrome_trace(
+            TRACE_JSON, spans, metadata={"scenario": "c432 optimize"}
+        )
     print(
         f"\ntraced c432 optimize: {len(spans)} spans, "
         f"coverage {coverage:.1%} -> {TRACE_JSON.name}"

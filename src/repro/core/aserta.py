@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.circuit.netlist import Circuit
 from repro.core.electrical_masking import (
     ElectricalMaskingResult,
@@ -61,7 +60,9 @@ from repro.tech.electrical_view import (
 from repro.tech.library import ParameterAssignment
 from repro.tech.table_builder import TechnologyTables, default_tables
 
-#: Ceiling on one batch's ``(B, V, O, k+1)`` masking tensor, bytes —
+#: Ceiling on one batch's masking working set, bytes (the compact
+#: live-cell tables plus the dense expected widths, see
+#: :meth:`~repro.core.sweep_plan.SweepPlan.lane_bytes`) —
 #: :meth:`AsertaAnalyzer.analyze_many` splits larger populations into
 #: chunks so memory stays flat on wide circuits.
 DEFAULT_MAX_BATCH_BYTES = 1 << 28
@@ -103,15 +104,6 @@ class AsertaConfig:
     #: Equation-2 denominator cutoff below which a deep-chain route is
     #: dropped (see :data:`repro.core.masking.DEFAULT_SHARE_EPSILON`).
     share_epsilon: float = DEFAULT_SHARE_EPSILON
-    #: Array backend executing the fused Section-3.2 sweep plan:
-    #: ``None`` defers to the ``REPRO_ARRAY_BACKEND`` environment
-    #: variable (default ``"numpy"``).  The NumPy backend is bitwise
-    #: identical to the reference array path; any other registered
-    #: backend compares within its declared tolerance (see
-    #: :mod:`repro.backend`).  *Not* a scenario axis: campaigns hash
-    #: analysis inputs, and a conforming backend is an implementation
-    #: detail, not an input.
-    array_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_vectors < 1:
@@ -134,11 +126,6 @@ class AsertaConfig:
         if not self.share_epsilon > 0.0:
             raise AnalysisError(
                 f"share_epsilon must be > 0, got {self.share_epsilon}"
-            )
-        if self.array_backend is not None and not self.array_backend.strip():
-            raise AnalysisError(
-                "array_backend must be a backend name or None, got "
-                f"{self.array_backend!r}"
             )
 
 
@@ -268,17 +255,11 @@ class AsertaAnalyzer:
                 self.config.seed,
                 epsilon=self.share_epsilon,
             )
-        #: Resolved array backend (config > ``REPRO_ARRAY_BACKEND`` env
-        #: > numpy) — raises listing the registered names when unknown.
-        self.backend = resolve_backend(self.config.array_backend)
-        #: Compiled Section-3.2 sweep plan (fused per-level gathers and
-        #: slot schedule), served from the artifact cache under a
-        #: backend-qualified key and shared by :meth:`analyze` and
-        #: :meth:`analyze_many`.
+        #: Compiled Section-3.2 sweep plan (live cells, per-level
+        #: gathers and accumulation order), served from the artifact cache
+        #: and shared by :meth:`analyze` and :meth:`analyze_many`.
         with self.telemetry.span(
-            "aserta.init.sweep_plan",
-            circuit=circuit.name,
-            backend=self.backend.name,
+            "aserta.init.sweep_plan", circuit=circuit.name
         ):
             self.sweep_plan = self.engine.sweep_plan(
                 circuit,
@@ -286,7 +267,6 @@ class AsertaAnalyzer:
                 self.config.n_vectors,
                 self.config.seed,
                 epsilon=self.share_epsilon,
-                backend=self.backend.name,
                 structure=self.structure,
             )
         self._sensitized_paths: dict[str, dict[str, float]] | None = None
@@ -385,7 +365,6 @@ class AsertaAnalyzer:
                         elec,
                         sample_widths=sample_widths,
                         structure=self.structure,
-                        backend=self.backend,
                         plan=self.sweep_plan,
                     )
                 with telemetry.span("aserta.reduce"):
@@ -452,11 +431,13 @@ class AsertaAnalyzer:
         ``size``/``length_nm``/``vdd``/``vth`` arrays directly (what the
         batched matcher produces), skipping the dict scatter entirely.
         Candidate assignments are stacked into the existing LUT gathers,
-        the Section-3.2 sweep runs over a ``(B, V, O, k+1)`` tensor
-        (chunked under ``max_batch_bytes``), and Equations 3-4 reduce
-        per candidate — no per-candidate :class:`AsertaReport` is built.
+        the Section-3.2 sweep runs once over the compiled plan's compact
+        ``(live cells + 1, k+1, B)`` tables (chunked under
+        ``max_batch_bytes``), and Equations 3-4 reduce per candidate —
+        no per-candidate :class:`AsertaReport` is built.
 
-        Lane ``b`` of :attr:`AsertaBatch.totals` is bit-identical to
+        :meth:`analyze` runs the same sweep kernel as a batch of one, so
+        lane ``b`` of :attr:`AsertaBatch.totals` is bit-identical to
         ``analyze(assignment_b).total`` (the differential test suite
         pins this); delay is exactly equal, energy and area match to
         float reassociation.
@@ -523,7 +504,7 @@ class AsertaAnalyzer:
             if n_sample_widths is None
             else n_sample_widths
         )
-        per_lane = idx.n_signals * idx.n_outputs * (n_k + 1) * 8
+        per_lane = self.sweep_plan.lane_bytes(n_k)
         chunk = int(max(1, min(n_lanes, max_batch_bytes // max(1, per_lane))))
 
         telemetry = self.telemetry
@@ -560,7 +541,6 @@ class AsertaAnalyzer:
                         arrays["delay_ps"],
                         arrays["generated_width_ps"],
                         samples,
-                        backend=self.backend,
                         plan=self.sweep_plan,
                     )
                 # Equations 3-4 lane by lane over contiguous slices: the

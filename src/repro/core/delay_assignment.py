@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import null_space
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.paths import collect_paths, topology_matrix
@@ -84,6 +83,13 @@ class DelaySpace:
         if method == "potential":
             basis = self._potential_basis()
         else:
+            try:
+                from scipy.linalg import null_space
+            except ImportError as exc:
+                raise OptimizationError(
+                    "delay-space method 'svd' needs scipy; install the "
+                    "'scipy' extra or use method='potential'"
+                ) from exc
             basis = null_space(self.matrix)
             if basis.size:
                 # Normalize to unit max-entry so one coefficient unit is

@@ -22,16 +22,20 @@ One pass costs ``O((V + E) * k * |outputs|)``; Lemma 1 (wide glitches
 arrive with expected width ``w * P_ij``) holds by construction and is
 property-tested.
 
-Two implementations share that contract.  :func:`electrical_masking` is
-the production path: the whole ``WS`` table lives as one ``(V, O, k+1)``
-tensor over the indexed circuit, levels are swept output-side-first, and
-each level's gates resolve in a handful of NumPy reductions
-(Equation 1 via :func:`~repro.tech.glitch.propagate_width_grid`, the
-successor lookup as a gathered linear interpolation, Equation 2 as an
-``(E, O)`` share matrix from :class:`~repro.core.masking.MaskingStructure`).
-:func:`electrical_masking_reference` is the original dict-of-dicts
-per-gate walk, kept as the differential-testing and benchmarking
-baseline.
+The production path is the compiled sweep of
+:class:`~repro.core.sweep_plan.SweepPlan`: tables live only on the
+circuit's live ``(row, output)`` cells, and a population of ``B``
+candidates runs as one pass.  :func:`electrical_masking_many` returns
+the dense ``(B, V, O)`` expected-width matrix of a population;
+:func:`electrical_masking` runs the same kernel as a batch of one and
+keeps the compact tables for the report views (:class:`MaskingArrays`
+densifies ``ws`` lazily).  Two oracles check it:
+
+* ``fused=False`` runs the unfused dense per-level loops over a
+  ``(V, O, k+1)`` (or ``(B, V, O, k+1)``) tensor — bitwise identical,
+  the differential reference of the conformance matrix;
+* :func:`electrical_masking_reference` is the original dict-of-dicts
+  per-gate walk (the seed implementation).
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.backend import resolve_backend
-from repro.backend.base import ArrayBackend
 from repro.circuit.indexed import IndexedCircuit
 from repro.circuit.netlist import Circuit
 from repro.core.masking import (
@@ -101,14 +103,43 @@ def _sweep_slots(structure: MaskingStructure):
 
 @dataclass(frozen=True)
 class MaskingArrays:
-    """Dense form of one electrical-masking pass."""
+    """Array form of one electrical-masking pass.
+
+    The ``WS`` tables are held only on their cells: ``cell_tables[c]``
+    is the anchored table of ``(cell_row[c], cell_col[c])``, and every
+    other ``(row, output)`` table is all zero.
+    """
 
     indexed: IndexedCircuit
-    #: Anchored ``WS`` tensor: ``ws[i, j, 1 + m]`` is ``WS_ijm`` and
-    #: ``ws[i, j, 0] == 0`` (the "vanished glitch" interpolation anchor).
-    ws: np.ndarray
     #: ``expected[i, j]`` is ``W_ij`` — dense Equation-3 weights.
     expected: np.ndarray
+    #: Row / output column of each table cell.
+    cell_row: np.ndarray
+    cell_col: np.ndarray
+    #: ``(cells, k+1)`` anchored tables: ``cell_tables[c, 1 + m]`` is
+    #: ``WS_ijm`` and ``cell_tables[c, 0] == 0`` (the "vanished glitch"
+    #: interpolation anchor).
+    cell_tables: np.ndarray
+
+    @classmethod
+    def from_dense(
+        cls, indexed: IndexedCircuit, ws: np.ndarray, expected: np.ndarray
+    ) -> "MaskingArrays":
+        """Wrap a dense ``(V, O, k+1)`` tensor, keeping its nonzero
+        tables."""
+        rows, cols = np.nonzero(ws.any(axis=2))
+        return cls(indexed, expected, rows, cols, ws[rows, cols])
+
+    @cached_property
+    def ws(self) -> np.ndarray:
+        """Dense anchored ``WS`` tensor: ``ws[i, j, 1 + m]`` is
+        ``WS_ijm`` (densified on first read)."""
+        idx = self.indexed
+        ws = np.zeros(
+            (idx.n_signals, idx.n_outputs, self.cell_tables.shape[1])
+        )
+        ws[self.cell_row, self.cell_col] = self.cell_tables
+        return ws
 
     @cached_property
     def populated_columns(self) -> dict[int, np.ndarray]:
@@ -120,7 +151,9 @@ class MaskingArrays:
         matching the reference pass, which stores a row only when its
         accumulated table is non-zero.
         """
-        mask = self.ws.any(axis=2)
+        idx = self.indexed
+        mask = np.zeros((idx.n_signals, idx.n_outputs), dtype=bool)
+        mask[self.cell_row, self.cell_col] = self.cell_tables.any(axis=1)
         return {
             int(row): np.flatnonzero(mask[row])
             for row in self.indexed.gate_rows
@@ -130,7 +163,7 @@ class MaskingArrays:
 class ElectricalMaskingResult:
     """Expected output glitch widths for one circuit + assignment.
 
-    The array path carries the dense tensors; ``tables`` and
+    The array path carries :class:`MaskingArrays`; ``tables`` and
     ``expected`` — the original name-keyed views every existing caller
     reads — materialize lazily from them (or are supplied directly by
     the dict-based reference pass).
@@ -264,11 +297,10 @@ def electrical_masking(
     sample_widths: np.ndarray | None = None,
     structure: MaskingStructure | None = None,
     epsilon: float = DEFAULT_SHARE_EPSILON,
-    backend: ArrayBackend | str | None = None,
     plan: SweepPlan | None = None,
     fused: bool = True,
 ) -> ElectricalMaskingResult:
-    """Run the Section-3.2 pass over the array core.
+    """Run the Section-3.2 pass for one candidate.
 
     ``structure`` carries the assignment-independent Equation-2 shares;
     pass a prebuilt one (as :class:`~repro.core.aserta.AsertaAnalyzer`
@@ -282,12 +314,12 @@ def electrical_masking(
     copies).  ``epsilon`` is the Equation-2 route-dropping cutoff, used
     only when the structure is built here.
 
-    ``fused`` (the default) executes the sweep through the compiled
-    :class:`~repro.core.sweep_plan.SweepPlan` on the selected array
-    ``backend`` — bitwise identical to the unfused per-level loop on
-    the NumPy backend, which ``fused=False`` keeps available as the
-    in-tree reference for the differential suite.  ``plan`` short-cuts
-    the per-structure plan cache when the caller already holds one.
+    ``fused`` (the default) runs the compiled
+    :class:`~repro.core.sweep_plan.SweepPlan` as a batch of one — the
+    kernel of :func:`electrical_masking_many`; ``fused=False`` runs the
+    unfused dense per-level loop (:func:`unfused_sweep`), the bitwise
+    reference of the differential suite.  ``plan`` short-cuts the
+    per-structure plan cache when the caller already holds one.
     """
     samples = (
         default_sample_widths(elec) if sample_widths is None
@@ -315,7 +347,39 @@ def electrical_masking(
     arrays = elec.arrays()
     delays = arrays["delay_ps"]
     generated = arrays["generated_width_ps"]
+    if not fused:
+        ws, expected = unfused_sweep(structure, delays, generated, samples)
+        return ElectricalMaskingResult(
+            sample_widths=samples,
+            arrays=MaskingArrays.from_dense(idx, ws, expected),
+        )
+    if plan is None:
+        plan = sweep_plan_for(structure)
+    tables, expected = plan.run(
+        delays[np.newaxis], generated[np.newaxis], samples[np.newaxis]
+    )
+    return ElectricalMaskingResult(
+        sample_widths=samples,
+        arrays=MaskingArrays(
+            indexed=idx,
+            expected=expected[0],
+            cell_row=plan.live_row,
+            cell_col=plan.live_col,
+            cell_tables=tables[:-1, :, 0],
+        ),
+    )
 
+
+def unfused_sweep(
+    structure: MaskingStructure,
+    delays: np.ndarray,
+    generated: np.ndarray,
+    samples: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dense per-level loop for one candidate: ``(ws, expected)``
+    over a ``(V, O, k+1)`` tensor — the differential reference of the
+    compiled sweep."""
+    idx = structure.indexed
     n_samples = samples.size
     anchored_x = np.concatenate(([0.0], samples))
     ws = np.zeros((idx.n_signals, idx.n_outputs, n_samples + 1))
@@ -335,28 +399,21 @@ def electrical_masking(
     # Step (iii), one logic level at a time from the output side: gather
     # successor tables, interpolate at the attenuated widths, combine
     # with the Equation-2 shares, scatter-add onto the sources.
-    if fused:
-        if not isinstance(backend, ArrayBackend):
-            backend = resolve_backend(backend)
-        if plan is None:
-            plan = sweep_plan_for(structure, backend)
-        plan.run_single(ws, low, high, frac, backend)
-    else:
-        inner = ws[:, :, 1:]
-        edge_share = structure.edge_shares
-        edge_dst = idx.edge_dst
-        for edges, batch_slots in zip(
-            structure.sweep_batches, _sweep_slots(structure)
-        ):
-            dst = edge_dst[edges]
-            tab = ws[dst]
-            f = frac[dst][:, np.newaxis, :]
-            t_lo = _take_last(tab, low[dst][:, np.newaxis, :])
-            t_hi = _take_last(tab, high[dst][:, np.newaxis, :])
-            contribution = t_lo * (1.0 - f) + t_hi * f
-            weighted = edge_share[edges][:, :, np.newaxis] * contribution
-            for pos, srcs in batch_slots:
-                inner[srcs] += weighted[pos]
+    inner = ws[:, :, 1:]
+    edge_share = structure.edge_shares
+    edge_dst = idx.edge_dst
+    for edges, batch_slots in zip(
+        structure.sweep_batches, _sweep_slots(structure)
+    ):
+        dst = edge_dst[edges]
+        tab = ws[dst]
+        f = frac[dst][:, np.newaxis, :]
+        t_lo = _take_last(tab, low[dst][:, np.newaxis, :])
+        t_hi = _take_last(tab, high[dst][:, np.newaxis, :])
+        contribution = t_lo * (1.0 - f) + t_hi * f
+        weighted = edge_share[edges][:, :, np.newaxis] * contribution
+        for pos, srcs in batch_slots:
+            inner[srcs] += weighted[pos]
 
     # Step (iv): expected widths for the generated glitches, one
     # interpolation per (gate, output) out of the same tensor.
@@ -369,11 +426,7 @@ def electrical_masking(
     )
     # A PO gate's generated glitch reaches its own latch unattenuated.
     expected[po_rows, po_cols] = generated[po_rows]
-
-    return ElectricalMaskingResult(
-        sample_widths=samples,
-        arrays=MaskingArrays(indexed=idx, ws=ws, expected=expected),
-    )
+    return ws, expected
 
 
 def default_sample_widths_batch(
@@ -415,7 +468,6 @@ def electrical_masking_many(
     delays: np.ndarray,
     generated: np.ndarray,
     sample_widths: np.ndarray,
-    backend: ArrayBackend | str | None = None,
     plan: SweepPlan | None = None,
     fused: bool = True,
 ) -> np.ndarray:
@@ -427,21 +479,14 @@ def electrical_masking_many(
     the only masking output the batched cost loop needs, so per-candidate
     ``WS`` dict views and reports are never materialized.
 
-    Lane ``b`` performs the exact operation sequence of
-    :func:`electrical_masking` on candidate ``b`` (same gathers, same
-    ``np.add.at`` accumulation order per lane), so the expected-width
-    matrices — and the Equation-4 totals reduced from them — are
-    bit-identical to the one-candidate path.
-
-    ``fused`` (the default) runs the sweep through the compiled
-    :class:`~repro.core.sweep_plan.SweepPlan` on ``backend``
-    (``None`` resolves the config/env/NumPy selection chain); the
-    NumPy backend is bitwise identical to the unfused per-level loop,
-    which ``fused=False`` preserves as the differential reference.
+    ``fused`` (the default) runs the compiled
+    :class:`~repro.core.sweep_plan.SweepPlan` over its compact live-cell
+    tables; :func:`electrical_masking` runs the same kernel as a batch
+    of one, so lane ``b`` is bit-identical to the one-candidate path.
+    ``fused=False`` runs the unfused dense loop
+    (:func:`unfused_sweep_many`), the bitwise differential reference.
     """
     idx = structure.indexed
-    if fused and not isinstance(backend, ArrayBackend):
-        backend = resolve_backend(backend)
     delays = np.asarray(delays, dtype=np.float64)
     samples = np.asarray(sample_widths, dtype=np.float64)
     generated = np.asarray(generated, dtype=np.float64)
@@ -455,6 +500,23 @@ def electrical_masking_many(
         )
     if np.any(np.diff(samples, axis=1) <= 0.0):
         raise AnalysisError("sample widths must be strictly increasing rows")
+    if not fused:
+        return unfused_sweep_many(structure, delays, generated, samples)[1]
+    if plan is None:
+        plan = sweep_plan_for(structure)
+    return plan.run(delays, generated, samples)[1]
+
+
+def unfused_sweep_many(
+    structure: MaskingStructure,
+    delays: np.ndarray,
+    generated: np.ndarray,
+    samples: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dense per-level loop for a population: ``(ws, expected)``
+    over a ``(B, V, O, k+1)`` tensor — the differential reference of
+    the compiled sweep."""
+    idx = structure.indexed
     n_lanes, n_samples = samples.shape
     anchored_x = np.concatenate(
         (np.zeros((n_lanes, 1)), samples), axis=1
@@ -465,35 +527,26 @@ def electrical_masking_many(
     po_cols = idx.col_of_row[po_rows]
     ws[:, po_rows, po_cols, 1:] = samples[:, np.newaxis, :]
 
-    attenuated = (
-        backend.attenuate_batch(samples, delays)
-        if fused
-        else propagate_width_grid_batch(samples, delays)
-    )
+    attenuated = propagate_width_grid_batch(samples, delays)
     low, high, frac = bracket_queries_rows(anchored_x, attenuated, "width")
 
-    if fused:
-        if plan is None:
-            plan = sweep_plan_for(structure, backend)
-        plan.run_batch(ws, low, high, frac, backend)
-    else:
-        inner = ws[..., 1:]
-        edge_share = structure.edge_shares
-        edge_dst = idx.edge_dst
-        for edges, batch_slots in zip(
-            structure.sweep_batches, _sweep_slots(structure)
-        ):
-            dst = edge_dst[edges]
-            tab = ws[:, dst]
-            f = frac[:, dst][:, :, np.newaxis, :]
-            t_lo = _take_last(tab, low[:, dst][:, :, np.newaxis, :])
-            t_hi = _take_last(tab, high[:, dst][:, :, np.newaxis, :])
-            contribution = t_lo * (1.0 - f) + t_hi * f
-            weighted = (
-                edge_share[edges][np.newaxis, :, :, np.newaxis] * contribution
-            )
-            for pos, srcs in batch_slots:
-                inner[:, srcs] += weighted[:, pos]
+    inner = ws[..., 1:]
+    edge_share = structure.edge_shares
+    edge_dst = idx.edge_dst
+    for edges, batch_slots in zip(
+        structure.sweep_batches, _sweep_slots(structure)
+    ):
+        dst = edge_dst[edges]
+        tab = ws[:, dst]
+        f = frac[:, dst][:, :, np.newaxis, :]
+        t_lo = _take_last(tab, low[:, dst][:, :, np.newaxis, :])
+        t_hi = _take_last(tab, high[:, dst][:, :, np.newaxis, :])
+        contribution = t_lo * (1.0 - f) + t_hi * f
+        weighted = (
+            edge_share[edges][np.newaxis, :, :, np.newaxis] * contribution
+        )
+        for pos, srcs in batch_slots:
+            inner[:, srcs] += weighted[:, pos]
 
     g_low, g_high, g_frac = bracket_queries_rows(
         anchored_x, generated, "width"
@@ -505,7 +558,7 @@ def electrical_masking_many(
         + g_hi[..., 0] * g_frac[:, :, np.newaxis]
     )
     expected[:, po_rows, po_cols] = generated[:, po_rows]
-    return expected
+    return ws, expected
 
 
 def electrical_masking_reference(

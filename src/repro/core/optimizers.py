@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.errors import OptimizationError
 from repro.telemetry import resolve
@@ -118,6 +117,13 @@ def minimize_slsqp(
     iterate through scipy's ``fun`` call, the ``D`` probes through the
     replay — matching the scalar driver's accounting.
     """
+    try:
+        from scipy.optimize import minimize
+    except ImportError as exc:
+        raise OptimizationError(
+            "the SLSQP driver needs scipy; install the 'scipy' extra or "
+            "pick a derivative-free optimizer"
+        ) from exc
     x0 = np.asarray(x0, dtype=np.float64)
     counter = _CountingObjective(objective, max_evaluations)
     counter(x0)

@@ -1,90 +1,87 @@
-"""The compiled Section-3.2 sweep: per-level work precomputed once.
+"""The compiled Section-3.2 sweep over the circuit's live table cells.
 
-The unfused sweep in :mod:`repro.core.electrical_masking` re-derives,
-on *every* call and for *every* logic level, the same index artifacts:
-the level's destination rows, the Equation-2 share gather, the fan-out
-slot decomposition, and the ``_take_last`` gather grids — then
-interpolates and scatters **dense** ``(B, E, O, k)`` level tensors.
-Dense is the wrong shape for this computation: the Equation-2 shares
-are overwhelmingly zero (a gate contributes only to the handful of
-primary outputs its fan-out cone reaches — 10–15% of the ``(edge,
-output)`` pairs on the ISCAS-85 circuits), so most of the gather,
-interpolation, multiply and scatter traffic moves exact ``+0.0``
-contributions that cannot change a single bit of the result.
+Section 3.2 fills a table ``WS_ij`` only for the primary outputs ``j``
+that gate ``i``'s fan-out cone reaches — on the ISCAS-85 circuits that
+is 2–14% of the ``(row, output)`` grid.  A :class:`SweepPlan` compiles
+the reverse sweep of :mod:`repro.core.electrical_masking` down to that
+live work, once per circuit:
 
-A :class:`SweepPlan` compiles the sweep down to its live work:
-
-* the topology-only schedule (edge batches by source level, fan-out
-  accumulation order) comes from
-  :meth:`~repro.circuit.indexed.IndexedCircuit.sweep_index_plan`,
-  computed once per circuit and cached on the indexed view;
-* per level, only the **live pairs** — ``(edge, output)`` with a
-  nonzero share — are kept, factored through their unique
-  ``(destination, output)`` cells so each interpolation runs once per
-  cell and is expanded onto pairs with one cheap single-axis take
+* **compact cells** — the plan numbers every ``(row, output)`` cell
+  that can ever hold a table: the PO-seeded ``(po_row, po_col)`` cells
+  and every scatter target of a live pair.  One extra all-zero cell
+  closes the index; a successor cell that never receives a table
+  gathers from it.  The sweep keeps its tables in a compact
+  ``(cells + 1, k + 1, B)`` tensor with the lanes innermost, so every
+  scatter target is one contiguous ``(k, B)`` block;
+* **live pairs** — per logic level only the ``(edge, output)`` pairs
+  with a nonzero Equation-2 share are kept, factored through their
+  unique ``(destination, output)`` gather cells so each interpolation
+  runs once per cell and is expanded onto its pairs with one take
   (:attr:`PlanLevel.pair_cell`);
-* every gather and scatter goes through **precomputed flat offsets**
-  into the raveled ``WS`` tensor (:meth:`SweepPlan._offsets`), so each
-  access is one integer add plus a 1-D fancy index — NumPy's fast
-  path — instead of a multi-array broadcast index;
-* the scatter replays the reference accumulation order per target
-  cell: pairs are slotted by occurrence rank of their ``(source,
-  output)`` cell in edge-major order (:attr:`PlanLevel.slots`),
-  exactly the order the unfused loop's ``np.add.at`` decomposition
-  adds them in.
+* **scatter order** — a level's target cells form one contiguous
+  compact range, and its pairs are grouped by target in edge-major
+  order, so one ``np.add.reduceat`` per level adds every target's
+  contributions in exactly the order the unfused loop's ``np.add.at``
+  decomposition does;
+* **step (iv)** interpolates ``W_ij`` on the live cells only and
+  scatters the result into the dense ``(B, V, O)`` expected-width
+  matrix the Equation-3/4 reduce reads.
 
-Dropping the zero-share work is bitwise-neutral: the ``WS`` tensor
-holds only nonnegative finite widths (never ``-0.0``), a zero share
-times a finite contribution is exactly ``+0.0``, and ``x + 0.0 == x``
-bit for bit for every such ``x``.  Each live contribution is computed
-with the identical expression and added in the identical per-cell
-order, so the NumPy backend's fused execution is bitwise identical to
-the unfused loop — the conformance matrix and the Hypothesis suite pin
-this.  Plans are cached per ``(structure, backend name)`` on the
-:class:`~repro.core.masking.MaskingStructure` and, across analyzers,
-in the engine's :class:`~repro.engine.cache.ArtifactCache` under a key
-with an explicit backend axis
+Dropping the dead work is bitwise-neutral: every table holds only
+nonnegative finite widths (never ``-0.0``), a zero share times a finite
+contribution is exactly ``+0.0``, ``x + 0.0 == x`` bit for bit, and a
+cell that never receives a table interpolates to ``+0.0`` in the dense
+loop too.  Each live contribution is computed with the identical
+expression and added in the identical per-cell order, so the compiled
+sweep is bitwise identical to the unfused dense loop — the conformance
+matrix and the Hypothesis suite pin this.  A single analysis runs the
+same kernel as a batch of one.  Plans are cached on the
+:class:`~repro.core.masking.MaskingStructure` and, across analyzers, in
+the engine's :class:`~repro.engine.cache.ArtifactCache`
 (:func:`repro.engine.artifacts.sweep_plan_key`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import resolve_backend
-from repro.backend.base import ArrayBackend
 from repro.core.masking import MaskingStructure
 from repro.errors import AnalysisError
+from repro.tech.glitch import propagate_width_grid_batch
+from repro.tech.lut import bracket_queries_rows
 
 
 @dataclass(frozen=True)
 class PlanLevel:
     """Everything precomputable about one reverse-sweep level.
 
-    ``cstart:cstop`` slices this level's gather cells, ``pstart:pstop``
-    its live pairs, out of the plan's concatenated cell/pair axes.  A
-    *cell* is a unique ``(destination row, output)`` whose table is
-    interpolated once; a *pair* is a live ``(edge, output)`` that
-    expands a cell's interpolated value, weights it with its Equation-2
-    share and accumulates onto its ``(source row, output)`` target.
+    A *gather cell* is a unique ``(destination row, output)`` whose
+    table is interpolated once; a *pair* is a live ``(edge, output)``
+    that expands a gather cell's interpolated value, weights it with
+    its Equation-2 share and accumulates onto its target cell.  The
+    level's target cells are the contiguous compact range
+    ``tstart:tstop``, numbered by descending pair count, and its pairs
+    are ordered rank-major: first every target's first pair (in target
+    order), then the second pair of each target that has one, and so
+    on — so occurrence rank ``r`` updates the target prefix of length
+    ``rank_counts[r]`` with one slice add.
     """
 
-    cstart: int
-    cstop: int
-    pstart: int
-    pstop: int
-    #: Pair -> local cell index, ``(P,)`` — the expansion gather.
+    #: Destination row per gather cell, ``(C,)``.
+    dst: np.ndarray
+    #: Compact cell per gather cell (the zero cell when the successor
+    #: never receives a table), ``(C,)``.
+    gather: np.ndarray
+    #: Pair -> local gather cell, ``(P,)`` — the expansion take.
     pair_cell: np.ndarray
-    #: Nonzero Equation-2 shares, ``(P,)`` with broadcast views.
+    #: Nonzero Equation-2 shares, ``(P, 1, 1)``.
     pair_share: np.ndarray
-    share_batch: np.ndarray
-    share_single: np.ndarray
-    #: Local pair positions per occurrence rank of the scatter target —
-    #: replaying them in rank order reproduces the reference
-    #: ``np.add.at`` accumulation order per target cell.
-    slots: tuple
+    #: Pairs per occurrence rank; ``rank_counts[0]`` is the number of
+    #: target cells.
+    rank_counts: tuple[int, ...]
+    tstart: int
 
 
 @dataclass(frozen=True)
@@ -92,263 +89,271 @@ class SweepPlan:
     """Compiled execution plan of the Section-3.2 reverse sweep.
 
     Bound to one :class:`~repro.core.masking.MaskingStructure` (the
-    shares are baked into the levels) and tagged with the array-backend
-    name it was resolved for — the tag is what puts the backend axis on
-    engine cache keys; the index/share content itself is
-    backend-independent.
+    shares are baked into the levels); independent of the assignment,
+    the sample count and the population width.
     """
 
-    backend_name: str
     n_signals: int
     n_outputs: int
-    #: Destination row / output column per gather cell, concatenated
-    #: over levels.
+    #: Destination row per gather cell, concatenated over levels.
     cell_dst: np.ndarray
-    cell_out: np.ndarray
-    #: Source row / output column per live pair, concatenated.
-    pair_src: np.ndarray
-    pair_out: np.ndarray
+    #: Row / output column of every compact cell (the zero cell, index
+    #: ``n_cells``, has none).
+    live_row: np.ndarray
+    live_col: np.ndarray
+    #: The first ``n_po`` compact cells are the PO-seeded
+    #: ``(po_row, po_col)`` tables.
+    n_po: int
     levels: tuple[PlanLevel, ...]
-    #: Flat-offset cache keyed by ``(n_lanes, k+1)`` — raveled-WS
-    #: addresses of every gather cell and scatter target.
-    _offset_cache: dict = field(default_factory=dict, repr=False)
 
-    def _offsets(
-        self, n_lanes: int | None, n_anchors: int
+    @property
+    def n_cells(self) -> int:
+        """Live compact cells (the zero cell not counted)."""
+        return int(self.live_row.size)
+
+    def lane_bytes(self, n_samples: int) -> int:
+        """Bytes one lane of :meth:`run` holds: its compact tables plus
+        its row of the dense ``(V, O)`` expected-width matrix."""
+        return 8 * (
+            (self.n_cells + 1) * (n_samples + 1)
+            + self.n_signals * self.n_outputs
+        )
+
+    def run(
+        self,
+        delays: np.ndarray,
+        generated: np.ndarray,
+        samples: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(gather, scatter)`` flat indices into ``ws.reshape(-1)``:
-        ``gather`` addresses anchor 0 of each (lane, cell) table —
-        adding a bracket index lands on an interpolation endpoint —
-        and ``scatter`` addresses anchor 1 of each (lane, pair) target,
-        so adding ``0..k-1`` spans the writable inner samples.  Shapes
-        are ``(B, C, 1)`` / ``(B, P, 1)``, or ``(C, 1)`` / ``(P, 1)``
-        when ``n_lanes`` is ``None`` (single-candidate); cached — the
-        offsets depend only on the tensor shape, never on the data."""
-        key = (n_lanes, n_anchors)
-        offsets = self._offset_cache.get(key)
-        if offsets is None:
-            gather = (
-                self.cell_dst * self.n_outputs + self.cell_out
-            ) * n_anchors
-            scatter = (
-                self.pair_src * self.n_outputs + self.pair_out
-            ) * n_anchors + 1
-            if n_lanes is None:
-                offsets = (gather[:, np.newaxis], scatter[:, np.newaxis])
-            else:
-                lane_stride = self.n_signals * self.n_outputs * n_anchors
-                lanes = np.arange(n_lanes, dtype=np.int64) * lane_stride
-                offsets = (
-                    lanes[:, np.newaxis, np.newaxis]
-                    + gather[np.newaxis, :, np.newaxis],
-                    lanes[:, np.newaxis, np.newaxis]
-                    + scatter[np.newaxis, :, np.newaxis],
-                )
-            self._offset_cache[key] = offsets
-        return offsets
+        """The whole Section-3.2 pass for ``B`` lanes.
 
-    def run_batch(
-        self,
-        ws: np.ndarray,
-        low: np.ndarray,
-        high: np.ndarray,
-        frac: np.ndarray,
-        backend: ArrayBackend,
-    ) -> None:
-        """Execute the sweep over a population, in place on ``ws``.
-
-        ``ws`` is the ``(B, V, O, k+1)`` anchored table tensor with the
-        PO rows already seeded; ``low``/``high``/``frac`` are the
-        ``(B, V, k)`` Equation-1 bracket tensors.
+        ``delays`` and ``generated`` are ``(B, V)`` electrical
+        annotations and ``samples`` the ``(B, k)`` sample-width grids.
+        Returns ``(tables, expected)``: the compact anchored tables
+        ``(cells + 1, k + 1, B)`` — ``tables[c, 1 + m, b]`` is
+        ``WS_ijm`` of cell ``c`` in lane ``b``, and anchor ``0`` is the
+        "vanished glitch" zero — and the dense ``(B, V, O)`` Equation-3
+        expected widths.
         """
-        if ws.shape[1] != self.n_signals or ws.shape[2] != self.n_outputs:
+        if delays.shape[1] != self.n_signals:
             raise AnalysisError(
-                f"sweep plan built for ({self.n_signals}, {self.n_outputs}) "
-                f"cannot run a {ws.shape} tensor"
+                f"sweep plan built for {self.n_signals} signals cannot "
+                f"run a {delays.shape} delay batch"
             )
-        if not ws.flags.c_contiguous:
-            raise AnalysisError(
-                "sweep plan needs a C-contiguous WS tensor (the flat "
-                "gather offsets assume the default row-major layout)"
+        n_lanes, n_samples = samples.shape
+        # Elements per compact cell; anchor ``m`` of lane ``b`` sits at
+        # ``m * n_lanes + b`` inside its cell's block.
+        stride = (n_samples + 1) * n_lanes
+        tables = np.zeros((self.n_cells + 1, n_samples + 1, n_lanes))
+        flat = tables.reshape(-1)
+        inner = tables[:, 1:]
+
+        # Step (ii): PO gates present the samples directly to their
+        # latch and nothing to other latches.
+        inner[:self.n_po] = samples.T
+        anchored = np.concatenate((np.zeros((n_lanes, 1)), samples), axis=1)
+
+        # Equation 1 for every row, bracketed on each lane's anchored
+        # grid (the same clamped-bracket semantics as every table
+        # lookup).
+        brackets = _lanes_last(
+            bracket_queries_rows(
+                anchored, propagate_width_grid_batch(samples, delays), "width"
             )
-        if not self.levels:
-            return
-        ws_flat = ws.reshape(-1)
-        low_c = low[:, self.cell_dst]
-        high_c = high[:, self.cell_dst]
-        frac_c = frac[:, self.cell_dst]
-        omf_c = 1.0 - frac_c
-        gather, scatter = self._offsets(ws.shape[0], ws.shape[3])
-        m_grid = np.arange(ws.shape[3] - 1, dtype=np.int64).reshape(1, 1, -1)
+        )
+
+        # Step (iii), one logic level at a time from the output side:
+        # interpolate each gather cell at the attenuated widths, expand
+        # onto the live pairs, weight with the shares, and accumulate
+        # each target's pairs rank by rank, i.e. in edge-major order.  A
+        # target is written by its own level only, so ``c1 + c2 + ...``
+        # equals the dense loop's ``0.0 + c1 + c2 + ...`` bit for bit.
         for level in self.levels:
-            if level.pstart == level.pstop:
-                continue
-            csl = slice(level.cstart, level.cstop)
-            backend.sweep_level_batch(
-                ws_flat, gather[:, csl], scatter[:, level.pstart:level.pstop],
-                m_grid, level,
-                low_c[:, csl], high_c[:, csl], frac_c[:, csl], omf_c[:, csl],
-            )
+            contribution = _interpolate(
+                flat,
+                (level.gather * stride)[:, np.newaxis, np.newaxis],
+                level.dst,
+                *brackets,
+            ).take(level.pair_cell, axis=0)
+            contribution *= level.pair_share
+            done = 0
+            for count in level.rank_counts:
+                block = contribution[done:done + count]
+                if done:
+                    inner[level.tstart:level.tstart + count] += block
+                else:
+                    inner[level.tstart:level.tstart + count] = block
+                done += count
 
-    def run_single(
-        self,
-        ws: np.ndarray,
-        low: np.ndarray,
-        high: np.ndarray,
-        frac: np.ndarray,
-        backend: ArrayBackend,
-    ) -> None:
-        """Execute the sweep for one candidate (``ws`` is
-        ``(V, O, k+1)``, brackets ``(V, k)``), in place."""
-        if ws.shape[0] != self.n_signals or ws.shape[1] != self.n_outputs:
-            raise AnalysisError(
-                f"sweep plan built for ({self.n_signals}, {self.n_outputs}) "
-                f"cannot run a {ws.shape} tensor"
-            )
-        if not ws.flags.c_contiguous:
-            raise AnalysisError(
-                "sweep plan needs a C-contiguous WS tensor (the flat "
-                "gather offsets assume the default row-major layout)"
-            )
-        if not self.levels:
-            return
-        ws_flat = ws.reshape(-1)
-        low_c = low[self.cell_dst]
-        high_c = high[self.cell_dst]
-        frac_c = frac[self.cell_dst]
-        omf_c = 1.0 - frac_c
-        gather, scatter = self._offsets(None, ws.shape[2])
-        m_grid = np.arange(ws.shape[2] - 1, dtype=np.int64).reshape(1, -1)
-        for level in self.levels:
-            if level.pstart == level.pstop:
-                continue
-            csl = slice(level.cstart, level.cstop)
-            backend.sweep_level_single(
-                ws_flat, gather[csl], scatter[level.pstart:level.pstop],
-                m_grid, level,
-                low_c[csl], high_c[csl], frac_c[csl], omf_c[csl],
-            )
+        # Step (iv): expected widths of the generated glitches, one
+        # interpolation per live cell, scattered into the dense matrix
+        # (every other cell is exactly +0.0 in the dense loop too).
+        live = _interpolate(
+            flat,
+            (np.arange(self.n_cells) * stride)[:, np.newaxis],
+            self.live_row,
+            *_lanes_last(bracket_queries_rows(anchored, generated, "width")),
+        )
+        expected = np.zeros((n_lanes, self.n_signals * self.n_outputs))
+        expected.T[self.live_row * self.n_outputs + self.live_col] = live
+        expected = expected.reshape(n_lanes, self.n_signals, self.n_outputs)
+        # A PO gate's generated glitch reaches its own latch unattenuated.
+        po_rows = self.live_row[:self.n_po]
+        expected[:, po_rows, self.live_col[:self.n_po]] = generated[
+            :, po_rows
+        ]
+        return tables, expected
 
 
-def _occurrence_slots(keys: np.ndarray) -> tuple:
-    """Positions per occurrence rank of each key, ranks in first-seen
-    order: slot ``r`` holds (ascending) the positions that are the
-    ``r``-th occurrence of their key.  Replaying ``target[keys[pos]] +=
-    value[pos]`` slot by slot accumulates duplicates of a key in
-    position order — the ``np.add.at`` reference semantics — while
-    every individual slot is duplicate-free and safe for one fancy
-    in-place add."""
-    if keys.size == 0:
-        return ()
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    new_group = np.empty(keys.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
-    group_start = np.maximum.accumulate(
-        np.where(new_group, np.arange(keys.size), 0)
-    )
-    ranks = np.empty(keys.size, dtype=np.int64)
-    ranks[order] = np.arange(keys.size) - group_start
-    return tuple(
-        np.flatnonzero(ranks == rank)
-        for rank in range(int(ranks.max()) + 1)
+def _lanes_last(brackets: tuple) -> tuple:
+    """``(low, high, frac)`` over ``(B, V, ...)`` -> C-contiguous
+    ``(V, ..., B)`` arrays, one row's block per signal; the bracket
+    indices become in-cell flat offsets (``index * B + lane``) and
+    ``1 - frac`` is appended."""
+    low, high, frac = brackets
+    n_lanes = low.shape[0]
+    lane = np.arange(n_lanes).reshape((-1,) + (1,) * (low.ndim - 1))
+
+    def move(x: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+    frac = move(frac)
+    return (
+        move(low * n_lanes + lane),
+        move(high * n_lanes + lane),
+        frac,
+        1.0 - frac,
     )
 
 
-def build_sweep_plan(
-    structure: MaskingStructure, backend_name: str = "numpy"
-) -> SweepPlan:
+def _interpolate(
+    flat: np.ndarray,
+    base: np.ndarray,
+    rows: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    frac: np.ndarray,
+    omf: np.ndarray,
+) -> np.ndarray:
+    """Anchored linear interpolation of the cells starting at flat
+    offsets ``base``, at the brackets of their signal ``rows``:
+    ``lo * (1 - f) + hi * f``."""
+    at = low.take(rows, axis=0)
+    at += base
+    t_lo = flat.take(at)
+    at = high.take(rows, axis=0)
+    at += base
+    t_hi = flat.take(at)
+    t_lo *= omf.take(rows, axis=0)
+    t_hi *= frac.take(rows, axis=0)
+    t_lo += t_hi
+    return t_lo
+
+
+def build_sweep_plan(structure: MaskingStructure) -> SweepPlan:
     """Compile ``structure`` into a :class:`SweepPlan`.
 
     The topology schedule (edge batches per level) is served from the
     indexed circuit's cached
     :meth:`~repro.circuit.indexed.IndexedCircuit.sweep_index_plan`;
-    the live-pair extraction, cell factorization and scatter slotting
-    are built here from the Equation-2 shares.
+    the live-pair extraction, cell factorization and compact cell index
+    are built here from the Equation-2 shares.  Compact cells are
+    numbered PO cells first, then each level's targets as one
+    contiguous range in sweep order.
     """
     idx = structure.indexed
-    batches, _slots = idx.sweep_index_plan()
+    batches, __slots = idx.sweep_index_plan()
     n_outputs = idx.n_outputs
-    levels: list[PlanLevel] = []
-    cell_dst_parts: list[np.ndarray] = []
-    cell_out_parts: list[np.ndarray] = []
-    pair_src_parts: list[np.ndarray] = []
-    pair_out_parts: list[np.ndarray] = []
-    ccursor = 0
-    pcursor = 0
+    po_rows = idx.output_rows
+    # Keys are ``row * n_outputs + output``.
+    cell_keys = [po_rows * n_outputs + idx.col_of_row[po_rows]]
+    raw = []
     for edges in batches:
-        dst = idx.edge_dst[edges]
-        src = idx.edge_src[edges]
         share = structure.edge_shares[edges]
         # Live pairs in edge-major order — the reference loop's
-        # element order, which the slot replay must preserve.
+        # element order, which fixes each pair's occurrence rank.
         pair_edge, pair_out = np.nonzero(share != 0.0)
-        n_pairs = int(pair_edge.size)
-        pair_src = src[pair_edge]
-        pair_share = np.ascontiguousarray(share[pair_edge, pair_out])
-        # Unique (destination, output) gather cells of this level.
-        cell_key, pair_cell = np.unique(
-            dst[pair_edge] * n_outputs + pair_out, return_inverse=True
+        if pair_edge.size == 0:
+            continue
+        target_key, pair_target, counts = np.unique(
+            idx.edge_src[edges][pair_edge] * n_outputs + pair_out,
+            return_inverse=True,
+            return_counts=True,
         )
-        n_cells = int(cell_key.size)
+        pair_target = pair_target.reshape(-1)
+        by_target = np.argsort(pair_target, kind="stable")
+        rank = np.empty(pair_target.size, dtype=np.int64)
+        rank[by_target] = (
+            np.arange(pair_target.size)
+            - (np.cumsum(counts) - counts)[pair_target[by_target]]
+        )
+        # Targets by descending pair count; pairs rank-major.
+        target_order = np.argsort(-counts, kind="stable")
+        position = np.empty_like(target_order)
+        position[target_order] = np.arange(target_order.size)
+        order = np.lexsort((position[pair_target], rank))
+        pair_edge, pair_out = pair_edge[order], pair_out[order]
+        gather_key, pair_cell = np.unique(
+            idx.edge_dst[edges][pair_edge] * n_outputs + pair_out,
+            return_inverse=True,
+        )
+        raw.append((
+            gather_key,
+            pair_cell.reshape(-1).astype(np.int64),
+            share[pair_edge, pair_out].reshape(-1, 1, 1),
+            tuple(int(n) for n in np.bincount(rank)),
+        ))
+        cell_keys.append(target_key[target_order])
+
+    live_key = np.concatenate(cell_keys).astype(np.int64)
+    n_cells = int(live_key.size)
+    by_key = np.argsort(live_key)
+    sorted_key = live_key[by_key]
+
+    def compact(keys: np.ndarray) -> np.ndarray:
+        """Compact cell of each key; the zero cell when not live."""
+        pos = np.minimum(np.searchsorted(sorted_key, keys), n_cells - 1)
+        return np.where(sorted_key[pos] == keys, by_key[pos], n_cells)
+
+    levels = []
+    tstart = int(cell_keys[0].size)
+    for gather_key, pair_cell, share, rank_counts in raw:
         levels.append(
             PlanLevel(
-                cstart=ccursor,
-                cstop=ccursor + n_cells,
-                pstart=pcursor,
-                pstop=pcursor + n_pairs,
-                pair_cell=np.ascontiguousarray(pair_cell, dtype=np.int64),
-                pair_share=pair_share,
-                share_batch=pair_share.reshape(1, n_pairs, 1),
-                share_single=pair_share.reshape(n_pairs, 1),
-                slots=_occurrence_slots(pair_src * n_outputs + pair_out),
+                dst=gather_key // n_outputs,
+                gather=compact(gather_key),
+                pair_cell=pair_cell,
+                pair_share=share,
+                rank_counts=rank_counts,
+                tstart=tstart,
             )
         )
-        cell_dst_parts.append(cell_key // n_outputs)
-        cell_out_parts.append(cell_key % n_outputs)
-        pair_src_parts.append(pair_src)
-        pair_out_parts.append(pair_out)
-        ccursor += n_cells
-        pcursor += n_pairs
-
-    def _concat(parts: list[np.ndarray]) -> np.ndarray:
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.ascontiguousarray(np.concatenate(parts), dtype=np.int64)
+        tstart += rank_counts[0]
 
     return SweepPlan(
-        backend_name=backend_name,
         n_signals=idx.n_signals,
         n_outputs=n_outputs,
-        cell_dst=_concat(cell_dst_parts),
-        cell_out=_concat(cell_out_parts),
-        pair_src=_concat(pair_src_parts),
-        pair_out=_concat(pair_out_parts),
+        cell_dst=np.concatenate(
+            [level.dst for level in levels] or [np.empty(0, dtype=np.int64)]
+        ),
+        live_row=live_key // n_outputs,
+        live_col=live_key % n_outputs,
+        n_po=int(cell_keys[0].size),
         levels=tuple(levels),
     )
 
 
-def sweep_plan_for(
-    structure: MaskingStructure,
-    backend: ArrayBackend | str | None = None,
-) -> SweepPlan:
-    """The plan for ``structure`` under ``backend``, cached per backend
-    name on the structure (the same ``object.__setattr__`` idiom as the
-    slot cache — a frozen dataclass with memoized derived state).
+def sweep_plan_for(structure: MaskingStructure) -> SweepPlan:
+    """The plan for ``structure``, cached on the structure (the same
+    ``object.__setattr__`` idiom as the slot cache — a frozen dataclass
+    with memoized derived state).
 
-    The cache is keyed by backend *name* and the compiled content is
-    assignment-independent, so candidate batches of any width and any
-    mutation of assignments between calls reuse one plan safely.
+    The compiled content is assignment-independent, so candidate
+    batches of any width and any mutation of assignments between calls
+    reuse one plan safely.
     """
-    if not isinstance(backend, ArrayBackend):
-        backend = resolve_backend(backend)
-    plans = getattr(structure, "_sweep_plans", None)
-    if plans is None:
-        plans = {}
-        object.__setattr__(structure, "_sweep_plans", plans)
-    plan = plans.get(backend.name)
+    plan = getattr(structure, "_sweep_plan", None)
     if plan is None:
-        plan = build_sweep_plan(structure, backend.name)
-        plans[backend.name] = plan
+        plan = build_sweep_plan(structure)
+        object.__setattr__(structure, "_sweep_plan", plan)
     return plan

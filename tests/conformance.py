@@ -3,21 +3,16 @@
 Every fast path in the repo is gated by a differential against its slow
 reference: the vectorized masking sweep against the dict walk, the
 batched structural estimator against the event-driven one, the
-level-batched matcher against the per-gate walk, and — since the fused
-sweep plan landed — every registered array backend against the unfused
-NumPy loop.  The assertions those suites share live here, so
-``test_differential``, ``test_batched_core``, ``test_engine_structural``
-and the backend matrix (``test_conformance_matrix``) state one contract
-in one place.
+level-batched matcher against the per-gate walk, and the compiled
+live-cell sweep against the unfused dense loop.  The assertions those
+suites share live here, so ``test_differential``, ``test_batched_core``,
+``test_engine_structural`` and the conformance matrix
+(``test_conformance_matrix``) state one contract in one place.
 
-Comparison discipline:
-
-* ``tolerance == 0.0`` means *bitwise* — ``np.testing.assert_array_equal``,
-  no epsilon.  The NumPy backend and every batched/serial pair are held
-  to this.
-* a positive tolerance is the backend's own declaration (made at
-  registration, see :func:`repro.backend.register_backend`); the
-  comparison uses it for both ``rtol`` and ``atol``.
+Comparison discipline: the compiled sweep and every batched/serial pair
+are held to *bitwise* equality (``np.testing.assert_array_equal``, no
+epsilon); comparisons against the scalar dict walk allow float
+reassociation (:data:`RTOL`).
 
 This module is deliberately not named ``test_*``: pytest never collects
 it, test files import it (the ``tests/`` directory is on ``sys.path``
@@ -29,15 +24,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, get_backend
-from repro.backend.base import ArrayBackend
 from repro.circuit.generator import GeneratorSpec, generate_circuit
 from repro.circuit.iscas85 import iscas85_circuit, iscas85_names
 from repro.core.electrical_masking import (
     default_sample_widths,
     default_sample_widths_batch,
+    MaskingArrays,
     electrical_masking,
     electrical_masking_many,
+    unfused_sweep_many,
 )
 from repro.core.matching import MatchingEngine
 from repro.engine.structural import (
@@ -123,62 +118,14 @@ def mixed_assignments(circuit, seed: int, count: int) -> list[ParameterAssignmen
 
 
 # ---------------------------------------------------------------------------
-# Tolerance-aware array comparison (the backend contract)
+# Section-3.2 sweep: compiled live-cell plan vs. the unfused dense loop
 # ---------------------------------------------------------------------------
 
 
-def assert_conforms(
-    actual: np.ndarray,
-    reference: np.ndarray,
-    tolerance: float,
-    context: str = "",
-) -> None:
-    """Backend conformance: bitwise at tolerance 0.0, declared epsilon
-    otherwise (applied as both ``rtol`` and ``atol``)."""
-    if tolerance == 0.0:
-        np.testing.assert_array_equal(actual, reference, err_msg=context)
-    else:
-        np.testing.assert_allclose(
-            actual, reference, rtol=tolerance, atol=tolerance,
-            err_msg=context,
-        )
-
-
-def backend_params() -> list:
-    """Pytest params for the array-backend axis.
-
-    Every registered backend runs; the JIT (numba) leg is emitted as a
-    *visible skip* when the import gate closed — the CI matrix must
-    show the leg was considered, never silently shrink.
-    """
-    registered = available_backends()
-    params = [pytest.param(name, id=f"backend-{name}") for name in registered]
-    if "numba" not in registered:
-        params.append(
-            pytest.param(
-                "numba",
-                id="backend-numba",
-                marks=pytest.mark.skip(
-                    reason="numba not importable: JIT backend leg skipped"
-                ),
-            )
-        )
-    return params
-
-
-# ---------------------------------------------------------------------------
-# Section-3.2 sweep: fused backend vs. the unfused reference loop
-# ---------------------------------------------------------------------------
-
-
-def assert_fused_sweep_conforms_single(
-    analyzer, assignment, backend: ArrayBackend | str
-) -> None:
-    """One-candidate path: the fused plan under ``backend`` against the
-    unfused per-level loop, within the backend's declared tolerance."""
-    backend = (
-        backend if isinstance(backend, ArrayBackend) else get_backend(backend)
-    )
+def assert_fused_sweep_conforms_single(analyzer, assignment) -> None:
+    """One-candidate path: the compiled plan (a batch of one) against
+    the unfused dense loop — the densified ``ws`` view and ``expected``
+    bitwise."""
     circuit = analyzer.circuit
     elec = analyzer.electrical_view(assignment)
     samples = default_sample_widths(elec, analyzer.config.n_sample_widths)
@@ -187,62 +134,70 @@ def assert_fused_sweep_conforms_single(
         structure=analyzer.structure, fused=False,
     )
     fused = electrical_masking(
-        circuit, elec, sample_widths=samples,
-        structure=analyzer.structure, backend=backend,
+        circuit, elec, sample_widths=samples, structure=analyzer.structure,
     )
     assert reference.arrays is not None and fused.arrays is not None
-    tol = backend.tolerance
-    assert tol is not None, f"backend {backend.name!r} declared no tolerance"
-    assert_conforms(
-        fused.arrays.ws, reference.arrays.ws, tol,
-        f"{circuit.name}: fused ws vs unfused ({backend.name})",
+    np.testing.assert_array_equal(
+        fused.arrays.ws, reference.arrays.ws,
+        err_msg=f"{circuit.name}: fused ws vs unfused",
     )
-    assert_conforms(
-        fused.arrays.expected, reference.arrays.expected, tol,
-        f"{circuit.name}: fused expected vs unfused ({backend.name})",
+    np.testing.assert_array_equal(
+        fused.arrays.expected, reference.arrays.expected,
+        err_msg=f"{circuit.name}: fused expected vs unfused",
     )
 
 
 def assert_fused_sweep_conforms_batch(
-    analyzer, assignments, backend: ArrayBackend | str
+    analyzer, assignments, oracle_lanes: int = 4
 ) -> None:
-    """Population path: fused ``electrical_masking_many`` under
-    ``backend`` against the unfused batch loop."""
-    backend = (
-        backend if isinstance(backend, ArrayBackend) else get_backend(backend)
-    )
+    """Population path: the compiled plan over the whole population
+    against the unfused dense batch loop — every lane's densified
+    ``ws`` view and ``expected`` bitwise.  The oracle runs
+    ``oracle_lanes`` lanes at a time (lanes are independent), which
+    bounds its dense ``(B, V, O, k+1)`` tensor on the large circuits."""
     circuit = analyzer.circuit
     idx = analyzer.indexed
     params = stack_cell_param_arrays(idx, assignments)
     arrays = batched_electrical_arrays(
         circuit, analyzer.tables, params, charge_fc=analyzer.config.charge_fc
     )
+    delays = arrays["delay_ps"]
+    generated = arrays["generated_width_ps"]
     samples = default_sample_widths_batch(
-        idx,
-        arrays["delay_ps"],
-        arrays["generated_width_ps"],
-        analyzer.config.n_sample_widths,
+        idx, delays, generated, analyzer.config.n_sample_widths
     )
-    reference = electrical_masking_many(
-        analyzer.structure,
-        arrays["delay_ps"],
-        arrays["generated_width_ps"],
-        samples,
-        fused=False,
+    plan = analyzer.sweep_plan
+    tables, expected = plan.run(delays, generated, samples)
+    np.testing.assert_array_equal(
+        electrical_masking_many(
+            analyzer.structure, delays, generated, samples
+        ),
+        expected,
+        err_msg=f"{circuit.name}: electrical_masking_many vs plan",
     )
-    fused = electrical_masking_many(
-        analyzer.structure,
-        arrays["delay_ps"],
-        arrays["generated_width_ps"],
-        samples,
-        backend=backend,
-    )
-    tol = backend.tolerance
-    assert tol is not None, f"backend {backend.name!r} declared no tolerance"
-    assert_conforms(
-        fused, reference, tol,
-        f"{circuit.name}: fused batch expected vs unfused ({backend.name})",
-    )
+    for start in range(0, len(assignments), oracle_lanes):
+        lanes = slice(start, start + oracle_lanes)
+        ref_ws, ref_expected = unfused_sweep_many(
+            analyzer.structure, delays[lanes], generated[lanes],
+            samples[lanes],
+        )
+        np.testing.assert_array_equal(
+            expected[lanes], ref_expected,
+            err_msg=f"{circuit.name}: fused batch expected vs unfused",
+        )
+        for offset, lane_ws in enumerate(ref_ws):
+            lane = start + offset
+            view = MaskingArrays(
+                indexed=idx,
+                expected=expected[lane],
+                cell_row=plan.live_row,
+                cell_col=plan.live_col,
+                cell_tables=tables[:-1, :, lane],
+            )
+            np.testing.assert_array_equal(
+                view.ws, lane_ws,
+                err_msg=f"{circuit.name}: fused ws lane {lane} vs unfused",
+            )
 
 
 # ---------------------------------------------------------------------------

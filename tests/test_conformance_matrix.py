@@ -1,15 +1,14 @@
-"""The backend-conformance matrix (fused sweep plan gate).
+"""The conformance matrix (compiled sweep gate).
 
 Every axis that promises equivalence with a reference implementation is
 re-asserted here through one shared harness (:mod:`conformance`):
 
-* **array backend** — the fused Section-3.2 sweep plan under every
-  registered backend against the unfused reference loop, across *all*
-  bundled ISCAS-85 circuits and the generator families, one-candidate
-  and population paths both.  The NumPy backend is held to bitwise
-  identity (tolerance 0.0); other backends compare within the tolerance
-  they declared at registration.  An unimportable JIT backend shows as
-  a skip, never as silent shrinkage of the matrix.
+* **sweep** — the compiled live-cell Section-3.2 sweep against the
+  unfused dense loop, across *all* bundled ISCAS-85 circuits and the
+  generator families, one-candidate and population paths both, plus a
+  16-lane population on c5315 and c7552 and a circuit whose sweep
+  gathers from the all-zero cell.  The densified ``ws`` view and the
+  expected widths are held to bitwise identity.
 * **engine** — ``analyze(engine="array")`` against the scalar
   reference walk (small circuits: the dict walk is the slow seed path).
 * **structural_engine** — the config axis end-to-end: an analyzer
@@ -17,10 +16,6 @@ re-asserted here through one shared harness (:mod:`conformance`):
   the same totals as the batched default, bit for bit.
 * **level_batched** — the level-batched matcher schedule against the
   per-gate walk.
-
-Registry contract tests live at the bottom: tolerance declaration is
-mandatory, unknown backends fail loudly listing what is registered, and
-the environment variable participates in resolution exactly once.
 """
 
 from __future__ import annotations
@@ -35,22 +30,15 @@ from conformance import (
     assert_fused_sweep_conforms_single,
     assert_matcher_states_equal,
     assert_reports_agree,
-    backend_params,
     conformance_circuit,
     make_matching_engines,
     mixed_assignment,
     mixed_assignments,
 )
-from repro.backend import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
-from repro.backend.base import ArrayBackend
+from repro.circuit.gate import GateType
+from repro.circuit.netlist import Circuit
+from repro.core import aserta
 from repro.core.aserta import AsertaAnalyzer, AsertaConfig
-from repro.errors import AnalysisError
 from repro.tech.library import CellLibrary
 
 N_VECTORS = 64
@@ -58,6 +46,15 @@ SEED = 7
 
 #: Circuits small enough for the scalar dict-walk reference engine.
 SMALL_CIRCUITS = ["c17", "c432", "c499"] + [s.name for s in CONFORMANCE_SPECS]
+
+#: Ids of the sweep axis.  The sweep has one NumPy kernel; the
+#: ``-backend-numpy`` suffix keeps the ids this matrix has always
+#: reported.
+SWEEP_IDS = [f"{name}-backend-numpy" for name in CONFORMANCE_CIRCUITS]
+
+#: Circuits of the wide-population check (SERTOPT-sized batch).
+LARGE_CIRCUITS = ["c5315", "c7552"]
+POPULATION_LANES = 16
 
 
 @pytest.fixture(scope="session")
@@ -84,39 +81,83 @@ def analyzer_cache():
     return get
 
 
-class TestArrayBackendAxis:
-    """Fused plan vs. unfused loop, full circuit axis, every backend."""
+def _po_fanout_circuit() -> Circuit:
+    """A primary output that also drives another output: the gate
+    feeding it has a live share towards the second output through a
+    successor cell that never holds a table (a PO row carries only its
+    own column), so the sweep gathers from the all-zero cell."""
+    circuit = Circuit("po-fanout")
+    a, b, c = (circuit.add_input(name) for name in "abc")
+    g1 = circuit.add_gate("g1", GateType.NAND, [a, b])
+    y1 = circuit.add_gate("y1", GateType.NOT, [g1])
+    y2 = circuit.add_gate("y2", GateType.AND, [y1, c])
+    circuit.mark_output(y1)
+    circuit.mark_output(y2)
+    return circuit
 
-    @pytest.mark.parametrize("backend", backend_params())
-    @pytest.mark.parametrize("name", CONFORMANCE_CIRCUITS)
-    def test_single_candidate_conforms(self, name, backend, analyzer_cache):
+
+class TestArrayBackendAxis:
+    """Compiled live-cell sweep vs. the unfused dense loop."""
+
+    @pytest.mark.parametrize("name", CONFORMANCE_CIRCUITS, ids=SWEEP_IDS)
+    def test_single_candidate_conforms(self, name, analyzer_cache):
         analyzer = analyzer_cache(name)
         assignment = mixed_assignment(analyzer.circuit, seed=13)
-        assert_fused_sweep_conforms_single(analyzer, assignment, backend)
+        assert_fused_sweep_conforms_single(analyzer, assignment)
 
-    @pytest.mark.parametrize("backend", backend_params())
-    @pytest.mark.parametrize("name", CONFORMANCE_CIRCUITS)
-    def test_population_conforms(self, name, backend, analyzer_cache):
+    @pytest.mark.parametrize("name", CONFORMANCE_CIRCUITS, ids=SWEEP_IDS)
+    def test_population_conforms(self, name, analyzer_cache):
         analyzer = analyzer_cache(name)
         assignments = mixed_assignments(analyzer.circuit, seed=11, count=2)
-        assert_fused_sweep_conforms_batch(analyzer, assignments, backend)
+        assert_fused_sweep_conforms_batch(analyzer, assignments)
 
-    @pytest.mark.parametrize("backend", backend_params())
-    def test_analyzer_config_selects_backend(self, backend, analyzer_cache):
-        """``AsertaConfig(array_backend=...)`` reaches the sweep and
-        conforms end-to-end: totals against the default-backend
-        analyzer within the declared tolerance."""
-        default = analyzer_cache("c432")
-        selected = analyzer_cache("c432", array_backend=backend)
-        assert selected.backend.name == backend
-        assignment = mixed_assignment(selected.circuit, seed=29)
-        total = selected.analyze(assignment).total
-        reference = default.analyze(assignment).total
-        tol = get_backend(backend).tolerance
-        if tol == 0.0:
-            assert total == reference
-        else:
-            assert total == pytest.approx(reference, rel=tol, abs=tol)
+    @pytest.mark.parametrize("name", LARGE_CIRCUITS)
+    def test_wide_population_conforms(self, name, analyzer_cache):
+        analyzer = analyzer_cache(name)
+        assignments = mixed_assignments(
+            analyzer.circuit, seed=37, count=POPULATION_LANES
+        )
+        assert_fused_sweep_conforms_batch(analyzer, assignments)
+
+    def test_zero_cell_gather_conforms(self):
+        analyzer = AsertaAnalyzer(
+            _po_fanout_circuit(),
+            AsertaConfig(n_vectors=N_VECTORS, seed=SEED, n_sample_widths=6),
+        )
+        plan = analyzer.sweep_plan
+        assert any((level.gather == plan.n_cells).any() for level in plan.levels)
+        assignment = mixed_assignment(analyzer.circuit, seed=5)
+        assert_fused_sweep_conforms_single(analyzer, assignment)
+        assignments = mixed_assignments(analyzer.circuit, seed=5, count=3)
+        assert_fused_sweep_conforms_batch(analyzer, assignments)
+
+    def test_one_lane_equals_analyze(self, analyzer_cache):
+        analyzer = analyzer_cache("c5315")
+        assignment = mixed_assignments(analyzer.circuit, seed=41, count=1)[0]
+        report = analyzer.analyze(assignment)
+        assert analyzer.analyze_many([assignment]).totals[0] == report.total
+        population = analyzer.analyze_many(
+            mixed_assignments(analyzer.circuit, seed=41, count=3)
+        )
+        assert population.totals[0] == report.total
+
+    def test_c5315_population_is_one_chunk(self, analyzer_cache, monkeypatch):
+        """The compact tables fit a 16-lane c5315 population into one
+        chunk of the default ``max_batch_bytes`` (the dense
+        ``(V, O, k+1)`` tensor needed two)."""
+        analyzer = analyzer_cache("c5315")
+        widths = []
+        sweep = aserta.electrical_masking_many
+
+        def counting(structure, delays, *args, **kwargs):
+            widths.append(delays.shape[0])
+            return sweep(structure, delays, *args, **kwargs)
+
+        monkeypatch.setattr(aserta, "electrical_masking_many", counting)
+        analyzer.analyze_many(
+            mixed_assignments(analyzer.circuit, seed=43, count=POPULATION_LANES)
+        )
+        assert widths == [POPULATION_LANES]
 
 
 class TestEngineAxis:
@@ -163,62 +204,3 @@ class TestLevelBatchedAxis:
             level_eng.match_batch(targets, {}, anchor=None),
             name,
         )
-
-
-class TestBackendRegistry:
-    """The registration/resolution contract of :mod:`repro.backend`."""
-
-    def test_numpy_always_registered_and_bitwise(self):
-        assert "numpy" in available_backends()
-        assert get_backend("numpy").tolerance == 0.0
-
-    def test_unknown_backend_fails_listing_registered(self):
-        with pytest.raises(AnalysisError, match="numpy"):
-            get_backend("cupy-nonexistent")
-
-    def test_tolerance_declaration_is_mandatory(self):
-        class Undeclared(ArrayBackend):
-            name = "undeclared-test-backend"
-            tolerance = None
-
-        with pytest.raises(AnalysisError, match="tolerance"):
-            register_backend(Undeclared())
-
-        class Negative(ArrayBackend):
-            name = "negative-test-backend"
-            tolerance = -1e-9
-
-        with pytest.raises(AnalysisError, match="tolerance"):
-            register_backend(Negative())
-
-    def test_duplicate_registration_rejected_without_replace(self):
-        class Impostor(ArrayBackend):
-            name = "numpy"
-            tolerance = 0.5
-
-        with pytest.raises(AnalysisError, match="registered"):
-            register_backend(Impostor())
-        # ... and the real backend is untouched.
-        assert get_backend("numpy").tolerance == 0.0
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert resolve_backend(None).name == "numpy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "no-such-backend")
-        with pytest.raises(AnalysisError):
-            resolve_backend(None)
-        # An explicit name wins over the environment.
-        assert resolve_backend("numpy").name == "numpy"
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert resolve_backend(None).name == "numpy"
-
-    def test_config_rejects_blank_backend(self):
-        with pytest.raises(AnalysisError):
-            AsertaConfig(array_backend="   ")
-
-    def test_unknown_backend_fails_at_analyzer_construction(self):
-        with pytest.raises(AnalysisError):
-            AsertaAnalyzer(
-                conformance_circuit("c17"),
-                AsertaConfig(n_vectors=32, array_backend="fortran-77"),
-            )

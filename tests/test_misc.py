@@ -1,6 +1,11 @@
 """Tests for units, errors, Verilog export, and the public API surface."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -86,3 +91,59 @@ class TestPublicApi:
         )
         report = analyzer.analyze()
         assert report.total > 0.0
+
+
+#: Runs with ``scipy`` hidden (``sys.modules["scipy"] = None`` makes
+#: every ``import scipy...`` raise ImportError).
+NUMPY_ONLY_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    sys.modules["scipy"] = None
+
+    import repro
+    from repro.core.delay_assignment import DelaySpace
+    from repro.errors import OptimizationError
+
+    circuit = repro.iscas85_circuit("c17")
+    config = repro.AsertaConfig(n_vectors=300, seed=1)
+    assert repro.AsertaAnalyzer(circuit, config).analyze().total > 0.0
+    result = repro.Sertopt(
+        circuit,
+        config=repro.SertoptConfig(max_evaluations=8, seed=1, aserta=config),
+    ).optimize()
+    assert result.optimized.total <= result.baseline.total + 1e-9
+    delays = {name: 10.0 for name in circuit.signal_names()}
+    try:
+        DelaySpace(circuit, delays, method="svd")
+    except OptimizationError as exc:
+        assert "scipy" in str(exc), exc
+    else:
+        raise AssertionError("method='svd' ran without scipy")
+    """
+)
+
+
+class TestDependencies:
+    """scipy is an optional extra: no default path may need it."""
+
+    @staticmethod
+    def _run(code: str) -> subprocess.CompletedProcess:
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    def test_import_does_not_load_scipy(self):
+        done = self._run(
+            "import sys, repro; "
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), "
+            "sorted(m for m in sys.modules if m.startswith('scipy'))"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_default_paths_run_with_scipy_hidden(self):
+        done = self._run(NUMPY_ONLY_SCRIPT)
+        assert done.returncode == 0, done.stderr
