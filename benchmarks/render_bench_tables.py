@@ -106,6 +106,7 @@ def summary_rows(data: dict[str, dict], floors: dict[str, float]):
     warm = structural["warm"]
     matcher = sertopt["matcher"]
     sweep = aserta["sweep"]
+    characterization = aserta["characterization"]
     return [
         (
             "PR 2",
@@ -162,6 +163,15 @@ def summary_rows(data: dict[str, dict], floors: dict[str, float]):
             _ms(sweep["fused_s"]) + " (compiled plan)",
             _x(sweep["speedup"]),
             f"≥ {floors['sweep']:g}× (`BENCH_aserta.json`)",
+        ),
+        (
+            "—",
+            f"Technology characterization ({characterization['circuit']}, "
+            f"{characterization['tables']} tables)",
+            _ms(characterization["scalar_s"]) + " (point by point)",
+            _ms(characterization["broadcast_s"]) + " (grid broadcast)",
+            _x(characterization["speedup"]),
+            f"≥ {floors['characterization']:g}× (`BENCH_aserta.json`)",
         ),
         (
             "PR 1–2",
@@ -242,6 +252,16 @@ needs {_ms(aserta['sweep']['unfused_s'])}, the compiled plan
 {_ms(aserta['sweep']['fused_s'])}
 ({_x(aserta['sweep']['speedup'])}, gated at ≥ {floors['sweep']:g}×).
 The two paths are asserted *bitwise identical* before timing.
+
+Technology characterization — every look-up table kind for the
+{aserta['characterization']['pairs']} `(gate type, fan-in)` pairs of
+{aserta['characterization']['circuit']}, on a fresh
+`TechnologyTables` — takes {_ms(aserta['characterization']['scalar_s'])}
+when the scalar gate model is sampled point by point and
+{_ms(aserta['characterization']['broadcast_s'])} as one NumPy broadcast
+per table ({_x(aserta['characterization']['speedup'])}, gated at
+≥ {floors['characterization']:g}×).  The timed outputs are asserted
+*bitwise identical*.
 
 ## Structural engine (`BENCH_structural.json`)
 
@@ -377,6 +397,9 @@ def main(argv=None) -> int:
     floors = {
         "aserta": _floor("test_bench_aserta", "MIN_SPEEDUP"),
         "sweep": _floor("test_bench_aserta", "MIN_SWEEP_SPEEDUP"),
+        "characterization": _floor(
+            "test_bench_aserta", "MIN_CHARACTERIZATION_SPEEDUP"
+        ),
         "structural": _floor("test_bench_structural", "MIN_SPEEDUP"),
         "sertopt_e2e": _floor("test_bench_sertopt", "MIN_E2E_SPEEDUP"),
         "sertopt_match": _floor("test_bench_sertopt", "MIN_MATCH_SPEEDUP"),

@@ -1,7 +1,7 @@
 """ASERTA core benchmarks — analysis hot paths, gated against floors.
 
-Two gated measurements on c432 at the paper-default configuration,
-both recorded in ``BENCH_aserta.json`` (written when
+Three gated measurements on c432 at the paper-default configuration,
+all recorded in ``BENCH_aserta.json`` (written when
 ``REPRO_BENCH_WRITE=1``, see :mod:`bench_json`):
 
 * ``analyze`` — dict-based reference engine vs. the vectorized array
@@ -14,8 +14,14 @@ both recorded in ``BENCH_aserta.json`` (written when
   per-level loop on a 16-lane mixed-assignment population.  Floor: at least 2x,
   asserted only after the two paths are verified *bitwise identical*
   on the exact tensors being timed.
+* ``characterization`` — every technology-table kind for c432's
+  ``(gate type, fan-in)`` population on a fresh
+  :class:`~repro.tech.table_builder.TechnologyTables`: the broadcast
+  builder vs. the point-by-point scalar oracle of
+  :mod:`conformance`.  Floor: at least 20x, asserted only after the
+  timed outputs are verified *bitwise identical*.
 
-Both gates use the interleaved paired-median protocol (see
+All three gates use the interleaved paired-median protocol (see
 ``test_bench_telemetry._paired_overhead`` for the full rationale):
 timing each side in its own best-of pass lets slow drift — thermal
 throttle, host contention under a shared VM — land entirely on
@@ -38,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from bench_json import write_bench_json, write_enabled
-from conformance import mixed_assignments
+from conformance import TABLE_KINDS, mixed_assignments, scalar_table
 from repro.circuit.iscas85 import iscas85_circuit
 from repro.core.aserta import AsertaAnalyzer
 from repro.core.electrical_masking import (
@@ -49,6 +55,7 @@ from repro.tech.electrical_view import (
     batched_electrical_arrays,
     stack_cell_param_arrays,
 )
+from repro.tech.table_builder import TechnologyTables
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_aserta.json"
 #: Acceptance floor: vectorized analyze() vs the seed implementation.
@@ -57,6 +64,8 @@ MIN_SPEEDUP = 3.0
 MIN_SWEEP_SPEEDUP = 2.0
 #: Lanes in the sweep-gate population (the campaign batch sweet spot).
 SWEEP_LANES = 16
+#: Acceptance floor: broadcast characterization vs the scalar oracle.
+MIN_CHARACTERIZATION_SPEEDUP = 20.0
 
 
 def _median(values: list[float]) -> float:
@@ -248,4 +257,58 @@ def test_fused_sweep_speedup(benchmark):
     assert speedup >= MIN_SWEEP_SPEEDUP, (
         f"fused sweep only {speedup:.2f}x faster than the unfused loop "
         f"(acceptance floor {MIN_SWEEP_SPEEDUP}x)"
+    )
+
+
+def test_characterization_speedup():
+    pairs = iscas85_circuit("c432").indexed().group_pairs
+    outputs: dict[str, list[np.ndarray]] = {}
+
+    def broadcast():
+        tables = TechnologyTables()
+        outputs["broadcast"] = [
+            tables.stacked_values(kind, pairs) for kind in TABLE_KINDS
+        ]
+
+    def scalar():
+        tables = TechnologyTables()
+        outputs["scalar"] = [
+            np.stack([scalar_table(tables, kind, g, f) for g, f in pairs])
+            for kind in TABLE_KINDS
+        ]
+
+    # The scalar side takes seconds per call, so three pairs; the
+    # bitwise check reads the outputs of the last timed calls.
+    speedup, scalar_s, broadcast_s = _gated_speedup(
+        scalar, broadcast, pairs=3, floor=MIN_CHARACTERIZATION_SPEEDUP
+    )
+    for kind, fast, oracle in zip(
+        TABLE_KINDS, outputs["broadcast"], outputs["scalar"]
+    ):
+        np.testing.assert_array_equal(
+            fast.view(np.uint64), oracle.view(np.uint64), err_msg=kind
+        )
+
+    _merge_bench(
+        {
+            "characterization": {
+                "circuit": "c432",
+                "pairs": len(pairs),
+                "tables": len(pairs) * len(TABLE_KINDS),
+                "bitwise_identical": True,
+                "scalar_s": scalar_s,
+                "broadcast_s": broadcast_s,
+                "speedup": speedup,
+            }
+        }
+    )
+
+    print(
+        f"\nc432 characterization ({len(pairs)} pairs x "
+        f"{len(TABLE_KINDS)} kinds): scalar {scalar_s:.2f} s, broadcast "
+        f"{broadcast_s * 1e3:.1f} ms -> {speedup:.0f}x -> {BENCH_JSON.name}"
+    )
+    assert speedup >= MIN_CHARACTERIZATION_SPEEDUP, (
+        f"broadcast characterization only {speedup:.1f}x faster than the "
+        f"scalar oracle (acceptance floor {MIN_CHARACTERIZATION_SPEEDUP}x)"
     )

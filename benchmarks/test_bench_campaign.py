@@ -79,9 +79,9 @@ def test_campaign_throughput(benchmark, scale, tmp_path):
     # "Cold" must mean the same thing standalone and inside the full
     # bench suite, so every process-global warm tier is dropped before
     # the fork: the analyzer/engine caches, the parsed-circuit LRU and
-    # the shared technology-table singleton (whose lazily built
-    # GridTables made an in-suite "cold" pass run ~4x faster than a
-    # genuinely cold one, collapsing the committed speedup baseline).
+    # the shared technology-table singleton (whose already-built
+    # GridTables would let an in-suite "cold" pass skip the
+    # characterization a genuinely cold process pays).
     reset_default_tables()
     iscas85._cached.cache_clear()
     clear_analyzer_cache()

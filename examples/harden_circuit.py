@@ -35,7 +35,11 @@ def main() -> None:
     print(f"optimizing {circuit!r} with {evaluations} cost evaluations...")
     result = Sertopt(circuit, library=library, config=config).optimize()
 
-    print(f"delay subspace: {result.delay_space_info}")
+    space = result.delay_space_info
+    print(
+        f"delay subspace: dimension {space['dimension']} "
+        f"({space['gates']} gates, {space['paths']} sampled paths)"
+    )
     print(
         format_table(
             ("metric", "value"),

@@ -207,6 +207,5 @@ class DelaySpace:
         return {
             "gates": len(self.gate_order),
             "paths": len(self.paths),
-            "rank": int(np.linalg.matrix_rank(self.matrix)),
             "dimension": self.dimension,
         }

@@ -210,7 +210,7 @@ def batched_electrical_arrays(
     gid_rows = idx.group_id[rows]
     width_nm = size[:, rows] * k.WIDTH_PER_SIZE_NM
     node_cap[:, rows] = (
-        k.DRAIN_CAP_PER_NM_FF * width_nm * self_cap_factors[gid_rows]
+        ge.self_capacitance_array(width_nm, self_cap_factors[gid_rows])
         + load[:, rows]
     )
     area[:, rows] = (
@@ -264,21 +264,15 @@ def continuous_delay_arrays(
 
     width_nm = size[:, rows] * k.WIDTH_PER_SIZE_NM
     input_cap = np.zeros((n_lanes, n))
-    input_cap[:, rows] = (
-        k.GATE_CAP_PER_NM_FF
-        * width_nm
-        * (length[:, rows] / k.NOMINAL_LENGTH_NM)
-        * icf[gid_rows]
+    input_cap[:, rows] = ge.input_capacitance_array(
+        width_nm, length[:, rows], icf[gid_rows]
     )
     load = _population_loads(idx, input_cap)
 
-    current = (
-        k.CURRENT_SCALE_UA
-        * (width_nm / length[:, rows])
-        * (vdd[:, rows] - vth[:, rows]) ** k.ALPHA
-        / div[gid_rows]
+    current = ge.drive_current_array(
+        width_nm, length[:, rows], vdd[:, rows] - vth[:, rows], div[gid_rows]
     )
-    self_cap = k.DRAIN_CAP_PER_NM_FF * width_nm * scf[gid_rows]
+    self_cap = ge.self_capacitance_array(width_nm, scf[gid_rows])
     total_cap = self_cap + load[:, rows]
     step = (
         PS_PER_FF_V_PER_UA * total_cap * vdd[:, rows] / (2.0 * current)
@@ -572,7 +566,7 @@ class CircuitElectrical:
         )
         width_nm = size[rows] * k.WIDTH_PER_SIZE_NM
         node_cap[rows] = (
-            k.DRAIN_CAP_PER_NM_FF * width_nm * self_cap_factors[gid]
+            ge.self_capacitance_array(width_nm, self_cap_factors[gid])
             + load[rows]
         )
         area[rows] = (

@@ -9,6 +9,8 @@ reproduction — and the transient reference simulator calls directly.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.circuit.gate import GateType
 from repro.errors import TechnologyError
 from repro.tech import constants as k
@@ -99,6 +101,23 @@ def drive_current_ua(
     return mosfet.on_current_ua(width, length_nm, vdd, vth) / drive_divisor(
         gtype, fanin
     )
+
+
+def drive_current_array(width_nm, length_nm, overdrive, divisor):
+    """Unvalidated, bitwise-equal array form of :func:`drive_current_ua`
+    (``overdrive = vdd - vth``, ``divisor`` from :func:`drive_divisor`)."""
+    power = np.power(overdrive, k.ALPHA)
+    return k.CURRENT_SCALE_UA * (width_nm / length_nm) * power / divisor
+
+
+def self_capacitance_array(width_nm, factor):
+    """Unvalidated array form of :func:`self_capacitance_ff`."""
+    return k.DRAIN_CAP_PER_NM_FF * width_nm * factor
+
+
+def input_capacitance_array(width_nm, length_nm, factor):
+    """Unvalidated array form of :func:`input_capacitance_ff`."""
+    return k.GATE_CAP_PER_NM_FF * width_nm * (length_nm / k.NOMINAL_LENGTH_NM) * factor
 
 
 def input_capacitance_ff(

@@ -8,11 +8,18 @@ paper fixes one injected charge and defers a charge axis to future work;
 this implementation includes the charge axis (exercised by the ABL-Q
 extension experiment) while defaulting to the fixed 16 fC the paper uses.
 
-Tables are built lazily per ``(gate type, fan-in)`` and cached.
+Each table is built on first use per ``(gate type, fan-in)`` and cached,
+as one NumPy broadcast over a sparse ``meshgrid`` of its axes with the
+``vdd <= vth`` points masked to ``inf``.  The broadcasts follow the
+scalar :mod:`repro.tech.gate_electrical` model operation for operation,
+with the same libm calls, so each table is bitwise equal to sampling
+that model point by point.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -21,9 +28,9 @@ from repro.circuit.gate import GateType
 from repro.errors import TableError
 from repro.tech import constants as k
 from repro.tech import gate_electrical as ge
-from repro.tech.glitch import generated_width_ps
 from repro.tech.library import CellParams
 from repro.tech.lut import GridTable
+from repro.units import PS_PER_FF_V_PER_UA, THERMAL_VOLTAGE_V
 
 DEFAULT_SIZE_GRID: tuple[float, ...] = (0.5, 1.0, 2.0, 3.0, 4.0)
 DEFAULT_LENGTH_GRID: tuple[float, ...] = (70.0, 100.0, 150.0, 250.0, 300.0)
@@ -60,17 +67,21 @@ class TechnologyTables:
         self.loads_ff = tuple(loads_ff)
         self.ramps_ps = tuple(ramps_ps)
         self.charges_fc = tuple(charges_fc)
-        for axis_name, axis in (
-            ("sizes", self.sizes),
-            ("lengths_nm", self.lengths_nm),
-            ("vdds", self.vdds),
-            ("vths", self.vths),
-            ("loads_ff", self.loads_ff),
-            ("ramps_ps", self.ramps_ps),
-            ("charges_fc", self.charges_fc),
-        ):
-            if len(axis) == 0 or any(b <= a for a, b in zip(axis, axis[1:])):
-                raise TableError(f"grid {axis_name!r} must be strictly increasing")
+        #: Sample grid per table axis name, in :meth:`axes_digest` order.
+        self._grids = {
+            "size": self.sizes,
+            "length": self.lengths_nm,
+            "vdd": self.vdds,
+            "vth": self.vths,
+            "load": self.loads_ff,
+            "ramp": self.ramps_ps,
+            "charge": self.charges_fc,
+        }
+        for name, grid in self._grids.items():
+            if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
+                raise TableError(f"grid {name!r} must be strictly increasing")
+            if grid[0] < 0.0 or (grid[0] == 0.0 and name in _POSITIVE_AXES):
+                raise TableError(f"grid {name!r} has unphysical values")
         self._cache: dict[tuple[str, GateType, int], GridTable] = {}
         self._stack_cache: dict[tuple, np.ndarray] = {}
 
@@ -78,20 +89,14 @@ class TechnologyTables:
     # Table construction
     # ------------------------------------------------------------------
 
-    def _cell_axes(self) -> list[tuple[str, tuple[float, ...]]]:
-        return [
-            ("size", self.sizes),
-            ("length", self.lengths_nm),
-            ("vdd", self.vdds),
-            ("vth", self.vths),
-        ]
-
     def _get(self, kind: str, gtype: GateType, fanin: int) -> GridTable:
         key = (kind, gtype, fanin)
         table = self._cache.get(key)
         if table is None:
-            builder = getattr(self, f"_build_{kind}")
-            table = builder(gtype, fanin)
+            names, build = _KINDS[kind]
+            grids = [self._grids[name] for name in names]
+            coords = np.meshgrid(*grids, indexing="ij", sparse=True)
+            table = GridTable(list(zip(names, grids)), build(gtype, fanin, *coords))
             self._cache[key] = table
         return table
 
@@ -131,16 +136,7 @@ class TechnologyTables:
         import json
 
         payload = json.dumps(
-            [
-                ge.GATE_MODEL_VERSION,
-                list(self.sizes),
-                list(self.lengths_nm),
-                list(self.vdds),
-                list(self.vths),
-                list(self.loads_ff),
-                list(self.ramps_ps),
-                list(self.charges_fc),
-            ],
+            [ge.GATE_MODEL_VERSION, *map(list, self._grids.values())],
             separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -160,78 +156,6 @@ class TechnologyTables:
         """
         self._stack_cache.setdefault((kind, pairs), np.asarray(values))
 
-    def _build_delay(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = self._cell_axes() + [("load", self.loads_ff), ("ramp", self.ramps_ps)]
-        shape = tuple(len(grid) for __, grid in axes)
-        values = np.empty(shape)
-        for index, point in _grid_points(axes):
-            size, length, vdd, vth, load, ramp = point
-            if vdd <= vth:
-                values[index] = np.inf
-                continue
-            values[index] = ge.propagation_delay_ps(
-                gtype, fanin, size, length, vdd, vth, load, ramp
-            )
-        return GridTable(axes, values)
-
-    def _build_ramp(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = self._cell_axes() + [("load", self.loads_ff)]
-        shape = tuple(len(grid) for __, grid in axes)
-        values = np.empty(shape)
-        for index, point in _grid_points(axes):
-            size, length, vdd, vth, load = point
-            if vdd <= vth:
-                values[index] = np.inf
-                continue
-            values[index] = ge.output_ramp_ps(gtype, fanin, size, length, vdd, vth, load)
-        return GridTable(axes, values)
-
-    def _build_glitch(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = self._cell_axes() + [
-            ("load", self.loads_ff),
-            ("charge", self.charges_fc),
-        ]
-        shape = tuple(len(grid) for __, grid in axes)
-        values = np.empty(shape)
-        for index, point in _grid_points(axes):
-            size, length, vdd, vth, load, charge = point
-            if vdd <= vth:
-                values[index] = np.inf
-                continue
-            node_cap = ge.self_capacitance_ff(gtype, fanin, size) + load
-            current = ge.drive_current_ua(gtype, fanin, size, length, vdd, vth)
-            values[index] = generated_width_ps(charge, node_cap, current, vdd)
-        return GridTable(axes, values)
-
-    def _build_input_cap(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = [("size", self.sizes), ("length", self.lengths_nm)]
-        values = np.empty((len(self.sizes), len(self.lengths_nm)))
-        for i, size in enumerate(self.sizes):
-            for j, length in enumerate(self.lengths_nm):
-                values[i, j] = ge.input_capacitance_ff(gtype, fanin, size, length)
-        return GridTable(axes, values)
-
-    def _build_static_power(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = self._cell_axes()
-        shape = tuple(len(grid) for __, grid in axes)
-        values = np.empty(shape)
-        for index, point in _grid_points(axes):
-            size, length, vdd, vth = point
-            if vdd <= vth:
-                values[index] = np.inf
-                continue
-            values[index] = ge.static_power_uw(gtype, fanin, size, length, vdd, vth)
-        return GridTable(axes, values)
-
-    def _build_dynamic_energy(self, gtype: GateType, fanin: int) -> GridTable:
-        axes = [("size", self.sizes), ("load", self.loads_ff), ("vdd", self.vdds)]
-        values = np.empty((len(self.sizes), len(self.loads_ff), len(self.vdds)))
-        for i, size in enumerate(self.sizes):
-            for j, load in enumerate(self.loads_ff):
-                for m, vdd in enumerate(self.vdds):
-                    values[i, j, m] = ge.dynamic_energy_fj(gtype, fanin, size, load, vdd)
-        return GridTable(axes, values)
-
     # ------------------------------------------------------------------
     # Interpolated queries (the ASERTA-facing API)
     # ------------------------------------------------------------------
@@ -245,23 +169,14 @@ class TechnologyTables:
         ramp_ps: float,
     ) -> float:
         return self._get("delay", gtype, fanin).lookup(
-            size=params.size,
-            length=params.length_nm,
-            vdd=params.vdd,
-            vth=params.vth,
-            load=load_ff,
-            ramp=ramp_ps,
+            **_cell_point(params), load=load_ff, ramp=ramp_ps
         )
 
     def output_ramp_ps(
         self, gtype: GateType, fanin: int, params: CellParams, load_ff: float
     ) -> float:
         return self._get("ramp", gtype, fanin).lookup(
-            size=params.size,
-            length=params.length_nm,
-            vdd=params.vdd,
-            vth=params.vth,
-            load=load_ff,
+            **_cell_point(params), load=load_ff
         )
 
     def generated_width_ps(
@@ -273,12 +188,7 @@ class TechnologyTables:
         charge_fc: float = k.DEFAULT_CHARGE_FC,
     ) -> float:
         return self._get("glitch", gtype, fanin).lookup(
-            size=params.size,
-            length=params.length_nm,
-            vdd=params.vdd,
-            vth=params.vth,
-            load=load_ff,
-            charge=charge_fc,
+            **_cell_point(params), load=load_ff, charge=charge_fc
         )
 
     def input_cap_ff(self, gtype: GateType, fanin: int, params: CellParams) -> float:
@@ -289,12 +199,7 @@ class TechnologyTables:
     def static_power_uw(
         self, gtype: GateType, fanin: int, params: CellParams
     ) -> float:
-        return self._get("static_power", gtype, fanin).lookup(
-            size=params.size,
-            length=params.length_nm,
-            vdd=params.vdd,
-            vth=params.vth,
-        )
+        return self._get("static_power", gtype, fanin).lookup(**_cell_point(params))
 
     def dynamic_energy_fj(
         self, gtype: GateType, fanin: int, params: CellParams, load_ff: float
@@ -307,23 +212,102 @@ class TechnologyTables:
         return len(self._cache)
 
 
-def _grid_points(axes):
-    """Iterate ``(multi_index, coordinate_tuple)`` over a grid."""
-    grids = [grid for __, grid in axes]
-    shape = tuple(len(grid) for grid in grids)
-    indices = (range(n) for n in shape)
-    from itertools import product as _product
+def _cell_point(params: CellParams) -> dict[str, float]:
+    """The four cell-axis coordinates of one cell."""
+    return {
+        "size": params.size,
+        "length": params.length_nm,
+        "vdd": params.vdd,
+        "vth": params.vth,
+    }
 
-    for index in _product(*indices):
-        yield index, tuple(grids[d][index[d]] for d in range(len(grids)))
+
+def _drive(gtype: GateType, fanin: int, size, length, vdd, vth):
+    """Drive current, self-capacitance and the ``vdd <= vth`` mask.
+    Masked points are evaluated at a unit overdrive so the arithmetic
+    stays finite; every builder overwrites them with ``inf``."""
+    dead = vdd <= vth
+    width = size * k.WIDTH_PER_SIZE_NM
+    current = ge.drive_current_array(
+        width, length, np.where(dead, 1.0, vdd - vth), ge.drive_divisor(gtype, fanin)
+    )
+    self_cap = ge.self_capacitance_array(width, ge.self_cap_factor(gtype, fanin))
+    return current, self_cap, dead
+
+
+def _step_ps(gtype: GateType, fanin: int, size, length, vdd, vth, load):
+    """Step-input delay of :func:`ge.propagation_delay_ps`, and the mask."""
+    current, self_cap, dead = _drive(gtype, fanin, size, length, vdd, vth)
+    return PS_PER_FF_V_PER_UA * (self_cap + load) * vdd / (2.0 * current), dead
+
+
+def _delay(gtype, fanin, size, length, vdd, vth, load, ramp):
+    step, dead = _step_ps(gtype, fanin, size, length, vdd, vth, load)
+    return np.where(dead, np.inf, step + k.RAMP_DELAY_FRACTION * ramp)
+
+
+def _ramp(gtype, fanin, size, length, vdd, vth, load):
+    # ge.output_ramp_ps scales the zero-ramp delay ``step + 0.0``, which
+    # is ``step`` bit for bit (step is positive).
+    step, dead = _step_ps(gtype, fanin, size, length, vdd, vth, load)
+    return np.where(dead, np.inf, k.RAMP_OF_DELAY * step)
+
+
+def _glitch(gtype, fanin, size, length, vdd, vth, load, charge):
+    current, self_cap, dead = _drive(gtype, fanin, size, length, vdd, vth)
+    critical = (self_cap + load) * vdd / 2.0
+    removal = PS_PER_FF_V_PER_UA * (charge - critical) / current
+    live = np.broadcast_to((charge > critical) & ~dead, removal.shape)
+    # libm ``pow`` per live point, as the scalar model's float ``**``
+    # calls it; NumPy's array power differs by an ulp on some inputs.
+    excess = removal[live]
+    exponents = repeat(k.SET_SATURATION_EXPONENT)
+    saturated = np.fromiter(map(math.pow, excess, exponents), float, excess.size)
+    values = np.zeros(removal.shape)
+    values[live] = k.STRIKE_TAU_PS + k.SET_WIDTH_SCALE_PS * saturated
+    return np.where(dead, np.inf, values)
+
+
+def _input_cap(gtype, fanin, size, length):
+    width = size * k.WIDTH_PER_SIZE_NM
+    return ge.input_capacitance_array(width, length, ge.input_cap_factor(gtype, fanin))
+
+
+def _static_power(gtype, fanin, size, length, vdd, vth):
+    # libm ``exp`` once per Vth, as the scalar leakage model calls it.
+    exponents = (-v / (k.SUBTHRESHOLD_N * THERMAL_VOLTAGE_V) for v in vth.flat)
+    leak = np.array([math.exp(e) for e in exponents]).reshape(vth.shape)
+    per_stack = k.LEAKAGE_SCALE_UA * (size * k.WIDTH_PER_SIZE_NM / length) * leak
+    stacks = max(1.0, ge.transistor_count(gtype, fanin) / 4.0)
+    return np.where(vdd <= vth, np.inf, per_stack * stacks * vdd)
+
+
+def _dynamic_energy(gtype, fanin, size, load, vdd):
+    width = size * k.WIDTH_PER_SIZE_NM
+    self_cap = ge.self_capacitance_array(width, ge.self_cap_factor(gtype, fanin))
+    return (self_cap + load) * vdd * vdd
+
+
+_CELL = ("size", "length", "vdd", "vth")
+#: Table kind -> (axis names, builder over the sparse grids of those axes).
+_KINDS = {
+    "delay": (_CELL + ("load", "ramp"), _delay),
+    "ramp": (_CELL + ("load",), _ramp),
+    "glitch": (_CELL + ("load", "charge"), _glitch),
+    "input_cap": (_CELL[:2], _input_cap),
+    "static_power": (_CELL, _static_power),
+    "dynamic_energy": (("size", "load", "vdd"), _dynamic_energy),
+}
+#: Axes the device model needs strictly positive; the rest are >= 0.
+_POSITIVE_AXES = frozenset({"size", "length", "vdd"})
 
 
 _DEFAULT_TABLES: TechnologyTables | None = None
 
 
 def default_tables() -> TechnologyTables:
-    """Process-wide shared table cache (building tables is the expensive
-    step; every analysis in one process should reuse one instance)."""
+    """Process-wide shared table cache (every analysis in one process
+    should reuse one instance and its built tables)."""
     global _DEFAULT_TABLES
     if _DEFAULT_TABLES is None:
         _DEFAULT_TABLES = TechnologyTables()

@@ -3,8 +3,10 @@
 Every fast path in the repo is gated by a differential against its slow
 reference: the vectorized masking sweep against the dict walk, the
 batched structural estimator against the event-driven one, the
-level-batched matcher against the per-gate walk, and the compiled
-live-cell sweep against the unfused dense loop.  The assertions those
+level-batched matcher against the per-gate walk, the compiled
+live-cell sweep against the unfused dense loop, and the broadcast
+technology-table builder against the scalar gate model sampled point
+by point.  The assertions those
 suites share live here, so ``test_differential``, ``test_batched_core``,
 ``test_engine_structural`` and the conformance matrix
 (``test_conformance_matrix``) state one contract in one place.
@@ -39,10 +41,12 @@ from repro.engine.structural import (
     structural_matrix_batched,
     structural_matrix_event,
 )
+from repro.tech import gate_electrical as ge
 from repro.tech.electrical_view import (
     batched_electrical_arrays,
     stack_cell_param_arrays,
 )
+from repro.tech.glitch import generated_width_ps
 from repro.tech.library import CellParams, ParameterAssignment
 
 #: Reassociation noise bound for comparisons that cross a float
@@ -260,6 +264,73 @@ def assert_structural_bit_identical(circuit, n_vectors: int, seed: int) -> None:
     event = structural_matrix_event(circuit, n_vectors, seed=seed)
     batched = structural_matrix_batched(circuit, n_vectors, seed=seed)
     np.testing.assert_array_equal(batched, event)
+
+
+# ---------------------------------------------------------------------------
+# Characterization: broadcast table builder vs. point-by-point sampling
+# ---------------------------------------------------------------------------
+
+#: Every table kind :class:`TechnologyTables` builds.
+TABLE_KINDS = (
+    "delay", "ramp", "glitch", "input_cap", "static_power", "dynamic_energy",
+)
+
+
+def _table_axes(tables, kind: str) -> list[tuple[float, ...]]:
+    """The sample grids of one table kind, in axis order."""
+    cell = [tables.sizes, tables.lengths_nm, tables.vdds, tables.vths]
+    return {
+        "delay": cell + [tables.loads_ff, tables.ramps_ps],
+        "ramp": cell + [tables.loads_ff],
+        "glitch": cell + [tables.loads_ff, tables.charges_fc],
+        "input_cap": [tables.sizes, tables.lengths_nm],
+        "static_power": cell,
+        "dynamic_energy": [tables.sizes, tables.loads_ff, tables.vdds],
+    }[kind]
+
+
+def _scalar_point(kind: str, gtype, fanin: int, point) -> float:
+    """One table entry from the scalar gate model."""
+    if kind == "input_cap":
+        return ge.input_capacitance_ff(gtype, fanin, *point)
+    if kind == "dynamic_energy":
+        return ge.dynamic_energy_fj(gtype, fanin, *point)
+    size, length, vdd, vth, *rest = point
+    if vdd <= vth:
+        return np.inf
+    if kind == "delay":
+        return ge.propagation_delay_ps(gtype, fanin, size, length, vdd, vth, *rest)
+    if kind == "ramp":
+        return ge.output_ramp_ps(gtype, fanin, size, length, vdd, vth, *rest)
+    if kind == "static_power":
+        return ge.static_power_uw(gtype, fanin, size, length, vdd, vth)
+    load, charge = rest
+    node_cap = ge.self_capacitance_ff(gtype, fanin, size) + load
+    current = ge.drive_current_ua(gtype, fanin, size, length, vdd, vth)
+    return generated_width_ps(charge, node_cap, current, vdd)
+
+
+def scalar_table(tables, kind: str, gtype, fanin: int) -> np.ndarray:
+    """The characterization oracle: the scalar model sampled point by
+    point over the grids of ``tables`` (``inf`` where ``vdd <= vth``)."""
+    axes = _table_axes(tables, kind)
+    values = np.empty(tuple(len(axis) for axis in axes))
+    for index in np.ndindex(values.shape):
+        point = tuple(axis[i] for axis, i in zip(axes, index))
+        values[index] = _scalar_point(kind, gtype, fanin, point)
+    return values
+
+
+def assert_table_bitwise(fast: np.ndarray, oracle: np.ndarray, context: str) -> None:
+    """Same shape, same bits, and the ``inf`` / ``0.0`` masks in the
+    same places."""
+    assert fast.shape == oracle.shape, context
+    np.testing.assert_array_equal(np.isinf(fast), np.isinf(oracle), err_msg=context)
+    np.testing.assert_array_equal(fast == 0.0, oracle == 0.0, err_msg=context)
+    assert np.array_equal(fast, oracle), context
+    np.testing.assert_array_equal(
+        fast.view(np.uint64), oracle.view(np.uint64), err_msg=context
+    )
 
 
 # ---------------------------------------------------------------------------

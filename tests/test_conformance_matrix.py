@@ -16,6 +16,10 @@ re-asserted here through one shared harness (:mod:`conformance`):
   the same totals as the batched default, bit for bit.
 * **level_batched** — the level-batched matcher schedule against the
   per-gate walk.
+* **characterization** — every technology-table kind, built as one
+  broadcast per grid, against the scalar gate model sampled point by
+  point, for every ``(gate type, fan-in)`` pair of the circuit axis and
+  on a custom grid that hits the ``inf`` and ``0.0`` masks.  Bitwise.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import pytest
 from conformance import (
     CONFORMANCE_CIRCUITS,
     CONFORMANCE_SPECS,
+    TABLE_KINDS,
+    assert_table_bitwise,
     assert_fused_sweep_conforms_batch,
     assert_fused_sweep_conforms_single,
     assert_matcher_states_equal,
@@ -34,12 +40,14 @@ from conformance import (
     make_matching_engines,
     mixed_assignment,
     mixed_assignments,
+    scalar_table,
 )
 from repro.circuit.gate import GateType
 from repro.circuit.netlist import Circuit
 from repro.core import aserta
 from repro.core.aserta import AsertaAnalyzer, AsertaConfig
 from repro.tech.library import CellLibrary
+from repro.tech.table_builder import TechnologyTables
 
 N_VECTORS = 64
 SEED = 7
@@ -204,3 +212,64 @@ class TestLevelBatchedAxis:
             level_eng.match_batch(targets, {}, anchor=None),
             name,
         )
+
+
+class TestCharacterizationAxis:
+    """Broadcast table builder vs. the point-by-point scalar oracle."""
+
+    @pytest.fixture(scope="class")
+    def default_oracle(self):
+        """Oracle tables on the default grids, computed once per
+        ``(kind, gate type, fan-in)`` (circuits share most pairs)."""
+        tables = TechnologyTables()
+        cache: dict = {}
+
+        def get(kind, gtype, fanin):
+            key = (kind, gtype, fanin)
+            if key not in cache:
+                cache[key] = scalar_table(tables, kind, gtype, fanin)
+            return cache[key]
+
+        return get
+
+    @pytest.mark.parametrize("name", CONFORMANCE_CIRCUITS)
+    def test_tables_bitwise(self, name, default_oracle):
+        pairs = conformance_circuit(name).indexed().group_pairs
+        tables = TechnologyTables()
+        for kind in TABLE_KINDS:
+            stack = tables.stacked_values(kind, pairs)
+            for (gtype, fanin), fast in zip(pairs, stack):
+                assert_table_bitwise(
+                    fast, default_oracle(kind, gtype, fanin),
+                    f"{name} {kind} {gtype.name}/{fanin}",
+                )
+
+    def test_masked_custom_grid_bitwise(self):
+        """A grid whose points hit every mask: ``vdd < vth`` and
+        ``vdd == vth`` (``inf``), zero charge and charge at or below the
+        critical charge (``0.0``), and non-default Vth values
+        (including 0) through the per-Vth ``exp``."""
+        tables = TechnologyTables(
+            sizes=(0.5, 2.0),
+            lengths_nm=(70.0, 150.0),
+            vdds=(0.15, 0.3, 0.6, 1.1),
+            vths=(0.0, 0.15, 0.3, 0.45),
+            loads_ff=(0.0, 4.0, 80.0),
+            ramps_ps=(0.0, 25.0),
+            charges_fc=(0.0, 1.0, 8.0, 64.0),
+        )
+        assert set(tables.vdds) & set(tables.vths)  # vdd == vth points
+        assert min(tables.vdds) < max(tables.vths)  # vdd < vth points
+        pairs = (
+            (GateType.NOT, 1), (GateType.NAND, 2), (GateType.NOR, 3),
+            (GateType.XOR, 2), (GateType.AND, 4), (GateType.BUF, 1),
+        )
+        for kind in TABLE_KINDS:
+            stack = tables.stacked_values(kind, pairs)
+            for (gtype, fanin), fast in zip(pairs, stack):
+                oracle = scalar_table(tables, kind, gtype, fanin)
+                assert_table_bitwise(fast, oracle, f"{kind} {gtype.name}/{fanin}")
+        glitch = tables.stacked_values("glitch", pairs)
+        # Live points below the critical charge (charge > 0, width 0.0).
+        assert (glitch[..., 1:] == 0.0).any()
+        assert np.isinf(glitch).any() and (glitch > 0.0).any()

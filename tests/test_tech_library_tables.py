@@ -2,6 +2,7 @@
 
 import pytest
 
+from conformance import TABLE_KINDS
 from repro.circuit.gate import GateType
 from repro.errors import LibraryError, TableError
 from repro.tech import constants as k
@@ -157,3 +158,45 @@ class TestTechnologyTables:
     def test_bad_grid_rejected(self):
         with pytest.raises(TableError):
             TechnologyTables(sizes=(2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"sizes": (0.0, 1.0)},
+            {"lengths_nm": (-70.0, 70.0)},
+            {"vdds": (0.0, 1.0)},
+            {"vths": (-0.1, 0.2)},
+            {"loads_ff": (-1.0, 1.0)},
+            {"ramps_ps": (-5.0, 5.0)},
+            {"charges_fc": (-2.0, 2.0)},
+        ],
+    )
+    def test_unphysical_grid_rejected(self, grid):
+        with pytest.raises(TableError):
+            TechnologyTables(**grid)
+
+    def test_characterization_calls_no_scalar_model(self, monkeypatch):
+        """Every kind over c432's gate population is built without a
+        single scalar-model call (the point-by-point builder made about
+        605k)."""
+        from repro.circuit.iscas85 import iscas85_circuit
+        from repro.tech import mosfet
+
+        calls = []
+        for module, name in (
+            (ge, "drive_current_ua"),
+            (ge, "propagation_delay_ps"),
+            (mosfet, "on_current_ua"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        pairs = iscas85_circuit("c432").indexed().group_pairs
+        tables = TechnologyTables()
+        for kind in TABLE_KINDS:
+            assert tables.stacked_values(kind, pairs).shape[0] == len(pairs)
+        assert calls == []
