@@ -270,7 +270,10 @@ The Section-3.1 `P_ij` estimate on {structural['circuit']}
 {structural['n_vectors']} vectors): event-driven walk
 {_s(structural['before']['structural_s'])} vs batched fault-site
 simulation {_s(structural['after']['structural_s'])}
-({_x(structural['speedup'])}, bit-identical counts).  A warm analyzer
+({_x(structural['speedup'])}, bit-identical counts).  The batched pass
+fault-simulates {structural['after']['root_sites']} root rows and
+traces the other {structural['after']['fanout_free_rows']}, which are
+fanout-free, from their roots' output deltas.  A warm analyzer
 build (content-addressed artifact cache) takes
 {_s(structural['warm']['warm_build_plus_analyze_s'])} against
 {_s(structural['warm']['cold_analyzer_build_s'])} cold, with

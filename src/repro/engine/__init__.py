@@ -2,10 +2,11 @@
 
 The two cooperating halves of the subsystem:
 
-* :mod:`repro.engine.structural` — a level-synchronized, fault-site-
-  batched bit-parallel simulator producing the dense ``(V, O)``
-  ``P_ij`` matrix bit-identically to the event-driven seed estimator,
-  with cone-of-influence masks so untouched regions cost nothing;
+* :mod:`repro.engine.structural` — the dense ``(V, O)`` ``P_ij``
+  matrix, bit-identical to the event-driven seed estimator: fanout-free
+  rows are traced from their chain's root, and only the roots are
+  fault-simulated, level by level in site blocks on a compact tensor
+  over each block's fanout cone;
 * :mod:`repro.engine.cache` / :mod:`repro.engine.artifacts` — a
   content-addressed cache (in-process LRU + optional on-disk ``npz``
   store, versioned keys) for every expensive derived structure, so a

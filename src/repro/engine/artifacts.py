@@ -127,8 +127,8 @@ def sweep_plan_key(
 
 
 def compiled_key(circuit: Circuit) -> str:
-    """Key of the compiled structural schedule (reachability bitsets,
-    level/type-group evaluation plan)."""
+    """Key of the compiled structural schedule (fanout-cone bitsets,
+    fanout-free chains, level/type-group evaluation plan)."""
     return artifact_key(KIND_COMPILED, circuit=circuit_digest(circuit))
 
 

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conformance import assert_structural_bit_identical
-from repro.circuit.generator import GeneratorSpec, generate_circuit
+from repro.circuit.gate import GateType
+from repro.circuit.generator import FLAVORS, GeneratorSpec, generate_circuit
 from repro.circuit.iscas85 import iscas85_circuit, iscas85_names
+from repro.circuit.netlist import Circuit
 from repro.engine.structural import (
     CompiledStructuralCircuit,
     pick_block_sites,
@@ -25,12 +29,16 @@ from repro.engine.structural import (
     structural_matrix_event,
 )
 from repro.errors import SimulationError
+from repro.logicsim.bitsim import BitParallelSimulator
 from repro.logicsim.sensitization import (
+    _flip_and_observe,
     observability,
     observability_matrix,
     sensitization_matrix,
     sensitization_probabilities,
 )
+from repro.logicsim.vectors import lane_mask, pack_vectors
+from repro.telemetry import Telemetry
 
 #: Two packed words, with a partial tail word — exercises lane masking.
 N_VECTORS = 96
@@ -168,49 +176,208 @@ class TestObservabilitySharedImplementation:
         }
 
 
-class TestSiteMasks:
-    """Per-row active-site masks: live pairs only, bit-identical."""
+def _circuit(name, inputs, gates, outputs):
+    """Small hand-built netlist: ``gates`` is ``(name, type, fan-ins)``."""
+    circuit = Circuit(name)
+    for pin in inputs:
+        circuit.add_input(pin)
+    for gate, gtype, fanins in gates:
+        circuit.add_gate(gate, gtype, list(fanins))
+    for out in outputs:
+        circuit.mark_output(out)
+    circuit.validate()
+    return circuit
 
-    def test_site_matrix_matches_reachability(self, c432):
+
+def no_fanout_free_circuit():
+    """Every non-PO row drives two gates, so every row is a root."""
+    return _circuit(
+        "no-ffr",
+        ["a", "b"],
+        [
+            ("x", GateType.NAND, ["a", "b"]),
+            ("y", GateType.NOR, ["a", "b"]),
+            ("z", GateType.XOR, ["x", "y"]),
+            ("w", GateType.AND, ["x", "y"]),
+        ],
+        ["x", "y", "z", "w"],
+    )
+
+
+def input_driven_ffr_circuit():
+    """Fanout-free primary inputs feeding a fanout-free gate."""
+    return _circuit(
+        "pi-ffr",
+        ["a", "b", "c", "d"],
+        [
+            ("g", GateType.AND, ["a", "b"]),
+            ("h", GateType.NOR, ["g", "c"]),
+            ("k", GateType.XNOR, ["h", "d"]),
+            ("m", GateType.OR, ["h", "d"]),
+        ],
+        ["k", "m"],
+    )
+
+
+def block_spans(telemetry):
+    return [
+        span.attrs
+        for span in telemetry.tracer.spans()
+        if span.name == "structural.block"
+    ]
+
+
+class TestFanoutFreeTracing:
+    """Rows with one fanout gate and no PO are traced, not simulated."""
+
+    @pytest.mark.parametrize("n_vectors", [70, 96])
+    def test_all_non_po_rows_fanout_free(self, chain4, n_vectors):
+        compiled = CompiledStructuralCircuit(chain4.indexed())
+        idx = chain4.indexed()
+        np.testing.assert_array_equal(compiled.roots, idx.output_rows)
+        assert int(compiled.ffr.sum()) == idx.n_signals - 1
+        assert_structural_bit_identical(chain4, n_vectors, 3)
+
+    @pytest.mark.parametrize("n_vectors", [70, 96])
+    def test_no_fanout_free_rows(self, n_vectors):
+        circuit = no_fanout_free_circuit()
+        compiled = CompiledStructuralCircuit(circuit.indexed())
+        assert not compiled.ffr.any()
+        assert compiled.roots.size == circuit.indexed().n_signals
+        assert_structural_bit_identical(circuit, n_vectors, 5)
+
+    @pytest.mark.parametrize("n_vectors", [70, 96])
+    def test_fanout_free_rows_driven_by_inputs(self, n_vectors):
+        circuit = input_driven_ffr_circuit()
+        idx = circuit.indexed()
+        compiled = CompiledStructuralCircuit(idx)
+        traced = {idx.order[row] for row in np.flatnonzero(compiled.ffr)}
+        assert traced == {"a", "b", "c", "g"}
+        # The chain a -> g -> h ends at h, which drives two gates.
+        assert compiled.root[idx.index["a"]] == idx.index["h"]
+        assert_structural_bit_identical(circuit, n_vectors, 11)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_inputs=st.integers(2, 8),
+        n_outputs=st.integers(1, 4),
+        extra_gates=st.integers(0, 40),
+        depth=st.integers(2, 8),
+        seed=st.integers(0, 10_000),
+        flavor=st.sampled_from(sorted(FLAVORS)),
+        n_vectors=st.sampled_from([1, 64, 70, 130]),
+        block_sites=st.sampled_from([None, 1, 3]),
+    )
+    def test_batched_equals_event_on_generated_circuits(
+        self, n_inputs, n_outputs, extra_gates, depth, seed, flavor,
+        n_vectors, block_sites,
+    ):
+        spec = GeneratorSpec(
+            "prop", n_inputs, n_outputs, n_outputs + extra_gates, depth,
+            seed=seed, flavor=flavor,
+        )
+        circuit = generate_circuit(spec)
+        batched = structural_matrix_batched(
+            circuit, n_vectors, seed=seed, block_sites=block_sites
+        )
+        event = structural_matrix_event(circuit, n_vectors, seed=seed)
+        np.testing.assert_array_equal(
+            batched.view(np.uint64), event.view(np.uint64)
+        )
+
+
+class TestRootBlocks:
+    """Only roots are fault-simulated, on budgeted compact cones."""
+
+    def test_only_roots_are_simulated(self, c432):
         compiled = CompiledStructuralCircuit(c432.indexed())
-        idx = c432.indexed()
-        rows = idx.gate_rows[:40]
-        mask = compiled.site_matrix(10, 42, rows)
-        assert mask.shape == (32, rows.size)
-        # Row-wise OR over sites must agree with the block candidates
-        # restricted to these rows (same own-site exclusion rule).
-        candidate = compiled.candidates(10, 42)
-        np.testing.assert_array_equal(mask.any(axis=0), candidate[rows])
-
-    def test_forced_sparse_path_bit_identical(self, c432):
-        """Small blocks on a reconvergent circuit drive pair density
-        low, forcing the gathered-pair branch; the counts must still be
-        exactly the event-driven estimator's."""
-        import repro.engine.structural as st
-
-        original = st.SITE_MASK_MAX_DENSITY
-        try:
-            st.SITE_MASK_MAX_DENSITY = 1.0  # every multi-site block
-            sparse = structural_matrix_batched(
-                c432, N_VECTORS, seed=SEED, block_sites=8
-            )
-        finally:
-            st.SITE_MASK_MAX_DENSITY = original
-        np.testing.assert_array_equal(
-            sparse, structural_matrix_event(c432, N_VECTORS, seed=SEED)
+        telemetry = Telemetry()
+        structural_matrix_batched(
+            c432, N_VECTORS, seed=SEED, compiled=compiled,
+            telemetry=telemetry,
+        )
+        spans = block_spans(telemetry)
+        assert sum(attrs["sites"] for attrs in spans) == compiled.roots.size
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["structural.root_sites"] == compiled.roots.size
+        assert counters["structural.fanout_free_rows"] == int(
+            compiled.ffr.sum()
+        )
+        assert compiled.roots.size + compiled.ffr.sum() == (
+            c432.indexed().n_signals
         )
 
-    def test_forced_dense_path_bit_identical(self, c432):
-        import repro.engine.structural as st
-
-        original = st.SITE_MASK_MAX_DENSITY
-        try:
-            st.SITE_MASK_MAX_DENSITY = -1.0  # never take the pair branch
-            dense = structural_matrix_batched(
-                c432, N_VECTORS, seed=SEED, block_sites=8
-            )
-        finally:
-            st.SITE_MASK_MAX_DENSITY = original
-        np.testing.assert_array_equal(
-            dense, structural_matrix_event(c432, N_VECTORS, seed=SEED)
+    def test_blocks_fit_the_byte_budget(self, c432):
+        budget = 1 << 18
+        n_vectors = 1000
+        n_words = (n_vectors + 63) // 64
+        telemetry = Telemetry()
+        budgeted = structural_matrix_batched(
+            c432, n_vectors, seed=SEED, max_block_bytes=budget,
+            telemetry=telemetry,
         )
+        spans = block_spans(telemetry)
+        assert len(spans) > 1
+        assert max(attrs["sites"] for attrs in spans) > 1
+        for attrs in spans:
+            tensor = (attrs["cone_rows"] + 1) * attrs["sites"] * n_words * 8
+            assert tensor <= attrs["bytes"] <= budget
+        np.testing.assert_array_equal(
+            budgeted, structural_matrix_event(c432, n_vectors, seed=SEED)
+        )
+
+    def test_candidates_follow_fanout_cones(self, diamond):
+        idx = diamond.indexed()
+        compiled = CompiledStructuralCircuit(idx)
+        root = idx.index["root"]
+        reached = {
+            idx.order[row]
+            for row in np.flatnonzero(compiled.candidates(np.array([root])))
+        }
+        assert reached == {"top", "bottom", "out"}
+        # A site is a candidate only if another site reaches it.
+        pair = np.array([root, idx.index["top"]])
+        assert compiled.candidates(pair)[idx.index["top"]]
+        assert not compiled.candidates(pair)[root]
+
+
+def _exact_matrix(circuit) -> np.ndarray:
+    """Exact ``P_ij`` from the event walk over all ``2**n`` input vectors."""
+    n_inputs = len(circuit.inputs)
+    n_vectors = 1 << n_inputs
+    vectors = (
+        np.arange(n_vectors)[:, np.newaxis] >> np.arange(n_inputs)
+    ) & 1
+    sim = BitParallelSimulator(circuit)
+    base = sim.simulate(pack_vectors(vectors.astype(bool)))
+    mask = lane_mask(n_vectors)
+    idx = circuit.indexed()
+    exact = np.zeros((idx.n_signals, idx.n_outputs))
+    for name in sim.order:
+        diffs = _flip_and_observe(circuit, sim, base, name, mask)
+        for out_name, words in diffs.items():
+            exact[idx.index[name], idx.output_col[out_name]] = (
+                int(np.bitwise_count(words).sum()) / n_vectors
+            )
+    exact[idx.output_rows, idx.col_of_row[idx.output_rows]] = 1.0
+    return exact
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        pytest.param(lambda: iscas85_circuit("c17"), id="c17"),
+        pytest.param(lambda: generate_circuit(GENERATOR_SPECS[1]), id="eng-alu"),
+        pytest.param(lambda: generate_circuit(GENERATOR_SPECS[3]), id="eng-deep"),
+    ],
+)
+def test_estimate_within_hoeffding_bound_of_exact(circuit):
+    """At the paper's 10 000 vectors the estimate lies within the
+    union-bounded Hoeffding radius of the exhaustive ``P_ij``."""
+    circuit = circuit()
+    assert len(circuit.inputs) <= 12
+    n_vectors = 10_000
+    exact = _exact_matrix(circuit)
+    estimate = structural_matrix_batched(circuit, n_vectors, seed=0)
+    radius = np.sqrt(np.log(2 * exact.size / 1e-6) / (2 * n_vectors))
+    assert np.abs(estimate - exact).max() <= radius
